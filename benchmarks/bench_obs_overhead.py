@@ -8,7 +8,7 @@ the two tier-1 hot paths the spine instruments most densely:
 
 * the sequential analyzer scan (``WeblogAnalyzer.analyze``), whose
   per-row work is small enough that any per-call overhead shows; and
-* flattened forest inference (``predict_proba`` over a trained forest),
+* fused forest inference (``predict_proba`` over a trained forest),
   the serve layer's per-request critical path.
 
 For each path it times the *instrumented* disabled-mode code against a
@@ -103,10 +103,7 @@ def measure_analyzer(dataset, directory, repeats: int = REPEATS) -> dict:
 
 def _forest_stripped(forest: RandomForestClassifier, x) -> np.ndarray:
     """predict_proba without the obs.span wrapper."""
-    total = np.zeros((x.shape[0], forest.n_classes_), dtype=float)
-    for tree in forest.trees_:
-        total += forest._aligned_probs(tree, tree.predict_proba(x))
-    return total / len(forest.trees_)
+    return forest.flat_.predict_value(x)
 
 
 def measure_forest(repeats: int = REPEATS) -> dict:

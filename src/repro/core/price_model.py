@@ -139,8 +139,8 @@ class EncryptedPriceModel:
         """Deprecated: use ``Estimator(model).estimate(rows).prices``.
 
         Kept as a bit-identical shim over the facade; the facade encodes
-        rows once and routes them through the forest's flattened member
-        trees in one vectorised pass, then applies ``time_correction``.
+        rows once and routes them through the forest's fused node table
+        in one vectorised pass, then applies ``time_correction``.
         """
         warnings.warn(
             "EncryptedPriceModel.estimate is deprecated; use "

@@ -103,49 +103,57 @@ class YourAdValue:
 
     def observe(self, row: HttpRequest) -> LedgerEntry | None:
         """Inspect one HTTP request; tally it when it is a win nURL."""
+        hit = self._parse(row)
+        if hit is None:
+            return None
+        encrypted = hit[1].is_encrypted
+        estimate = self.estimator.estimate_one(self._features(*hit)) if encrypted else None
+        return self._record(hit, estimate)
+
+    def observe_many(self, rows: Iterable[HttpRequest]) -> int:
+        """Process a batch of rows; returns how many prices were found.
+
+        The ledger is identical to calling :meth:`observe` row by row,
+        but all encrypted prices are estimated in one vectorised
+        ``Estimator.estimate`` call.
+        """
+        hits = [hit for hit in map(self._parse, rows) if hit is not None]
+        features = [self._features(*hit) for hit in hits if hit[1].is_encrypted]
+        estimates = iter(self.estimator.estimate(features).prices.tolist())
+        for hit in hits:
+            self._record(hit, next(estimates) if hit[1].is_encrypted else None)
+        return len(hits)
+
+    def _parse(self, row: HttpRequest):
+        """``(row, parsed nURL, publisher IAB)`` for a win nURL, else None."""
         if self.blacklist.classify(row.domain) != "advertising":
             return None
         parsed = parse_nurl(row.url)
         if parsed is None:
             return None
-
         publisher = parsed.params.get("pub_name", "")
         iab = self.directory.category_of(publisher) if publisher else None
-        if parsed.is_encrypted:
-            features = self._features(row, parsed, iab)
-            amount = self.estimator.estimate_one(features)
-            entry = LedgerEntry(
-                timestamp=row.timestamp,
-                adx=parsed.adx,
-                dsp=parsed.dsp or "unknown",
-                encrypted=True,
-                amount_cpm=amount,
-                estimated=True,
-                slot_size=parsed.slot_size,
-                publisher_iab=iab or "unknown",
-            )
-        else:
-            entry = LedgerEntry(
-                timestamp=row.timestamp,
-                adx=parsed.adx,
-                dsp=parsed.dsp or "unknown",
-                encrypted=False,
-                amount_cpm=float(parsed.cleartext_price_cpm),
-                estimated=False,
-                slot_size=parsed.slot_size,
-                publisher_iab=iab or "unknown",
-            )
+        return row, parsed, iab
+
+    def _record(self, hit, estimate: float | None) -> LedgerEntry:
+        """Append one ledger entry: the model ``estimate`` of an encrypted
+        price, or the cleartext price when ``estimate`` is None."""
+        row, parsed, iab = hit
+        entry = LedgerEntry(
+            timestamp=row.timestamp,
+            adx=parsed.adx,
+            dsp=parsed.dsp or "unknown",
+            encrypted=parsed.is_encrypted,
+            amount_cpm=(
+                float(parsed.cleartext_price_cpm) if estimate is None else estimate
+            ),
+            estimated=parsed.is_encrypted,
+            slot_size=parsed.slot_size,
+            publisher_iab=iab or "unknown",
+        )
         self.ledger.append(entry)
         self._notifications.append(entry)
         return entry
-
-    def observe_many(self, rows: Iterable[HttpRequest]) -> int:
-        """Process a batch of rows; returns how many prices were found."""
-        found = 0
-        for row in rows:
-            if self.observe(row) is not None:
-                found += 1
-        return found
 
     def _features(self, row: HttpRequest, parsed, iab: str | None) -> dict[str, Hashable]:
         ua = parse_user_agent(row.user_agent)
@@ -190,6 +198,7 @@ class YourAdValue:
         if version <= self.model_version:
             return False
         self.model = EncryptedPriceModel.from_package(package)
+        self.estimator = Estimator(self.model)
         self.model_version = version
         self.time_correction = self.model.time_correction
         return True

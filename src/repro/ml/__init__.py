@@ -8,7 +8,7 @@ regression baselines, feature encoders/filters, and JSON model
 serialisation for shipping trees to YourAdValue clients.
 """
 
-from repro.ml.flat import FlatTree, flatten_classifier_tree, flatten_regressor_tree
+from repro.ml.flat import NodeTable, compile_classifier, compile_regressor
 from repro.ml.forest import RandomForestClassifier, RandomForestRegressor
 from repro.ml.metrics import (
     ClassificationReport,
@@ -52,9 +52,9 @@ __all__ = [
     "DecisionTreeClassifier",
     "DecisionTreeRegressor",
     "TreeNode",
-    "FlatTree",
-    "flatten_classifier_tree",
-    "flatten_regressor_tree",
+    "NodeTable",
+    "compile_classifier",
+    "compile_regressor",
     "RandomForestClassifier",
     "RandomForestRegressor",
     "ClassificationReport",

@@ -27,11 +27,12 @@ Scale design notes
   results are merged strictly in tree order, so a parallel fit is
   **bit-identical** to the sequential one: same trees, same
   ``predict_proba``, same OOB votes, same importances.
-* **Flattened inference.**  Member trees compile to contiguous arrays
-  after fit (:mod:`repro.ml.flat`); ``predict_proba`` aggregates the
-  vectorised flat traversal per tree, in tree order.  ``traversal=``
-  selects the node-walk or per-row reference paths for equivalence
-  checks and benchmarks -- all three agree exactly.
+* **Fused inference.**  After fit and on deserialisation the whole
+  forest compiles into one :class:`repro.ml.flat.NodeTable` (every
+  tree's nodes back to back, leaf rows already in the forest's class
+  space); ``predict_proba``/``predict``/``apply`` are one
+  level-synchronous walk over all (row, tree) lanes, averaged in tree
+  order -- bit-identical to summing the member trees one by one.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from repro import obs
+from repro.ml.flat import NodeTable, compile_classifier, compile_regressor
 from repro.ml.histsplit import BinnedDataset
 from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor, _check_splitter
 from repro.util.parallel import pool_context, resolve_workers
@@ -48,10 +50,6 @@ from repro.util.rng import derive_seed
 from repro.util.validation import reject_legacy_kwargs
 
 __all__ = ["RandomForestClassifier", "RandomForestRegressor"]
-
-#: Traversal modes accepted by ``predict_proba``/``predict``.
-_TRAVERSALS = ("flat", "nodes", "per-row")
-
 
 # -- per-tree fit routines ---------------------------------------------------
 #
@@ -89,7 +87,11 @@ def _fit_classifier_tree(
         mask[indices] = False
         if mask.any():
             oob_rows = np.flatnonzero(mask)
-            oob_probs = tree.predict_proba(x[oob_rows])
+            # A throwaway one-root table: member trees carry no table of
+            # their own (the forest compiles all of them into one).
+            oob_probs = compile_classifier(
+                [tree.root_], n_classes, [tree.classes_]
+            ).predict_value(x[oob_rows])
     return tree, oob_rows, oob_probs
 
 
@@ -226,6 +228,7 @@ class RandomForestClassifier:
         self.n_features_: int = 0
         self.feature_importances_: np.ndarray | None = None
         self.oob_score_: float | None = None
+        self.flat_: NodeTable | None = None
 
     def _tree_kwargs(self) -> dict:
         return dict(
@@ -287,7 +290,7 @@ class RandomForestClassifier:
                     if tree.feature_importances_ is not None:
                         importances += tree.feature_importances_
                     if oob_votes is not None and oob_rows is not None:
-                        oob_votes[oob_rows] += self._aligned_probs(tree, oob_probs)
+                        oob_votes[oob_rows] += oob_probs
 
             importances /= self.n_estimators
             total = importances.sum()
@@ -302,74 +305,49 @@ class RandomForestClassifier:
                     self.oob_score_ = float(np.mean(oob_pred == y[voted]))
             if self.oob_score_ is not None:
                 st.set(oob_score=self.oob_score_)
+        self.compile_flat()
         return self
 
     def _check_fitted(self) -> None:
         if not self.trees_:
             raise RuntimeError("forest is not fitted")
 
-    def _aligned_probs(self, tree: DecisionTreeClassifier, probs: np.ndarray) -> np.ndarray:
-        """Align one tree's probability columns to the forest class space.
+    def compile_flat(self) -> NodeTable:
+        """(Re)compile the fused node table from the member trees.
 
-        Alignment is by **class label**: tree column ``j`` corresponds
-        to class label ``tree.classes_[j]`` (``np.bincount`` ordering),
-        which is scattered into the forest's column for that label.  A
-        tree fitted in the forest's own class space passes through
-        unchanged; a narrower tree (old serialised payloads, externally
-        fitted trees) is zero-padded at its missing labels -- wherever
-        they fall, not just at the top.
-        """
-        if probs.shape[1] == self.n_classes_:
-            return probs
-        if probs.shape[1] > self.n_classes_:
-            raise ValueError(
-                f"tree has {probs.shape[1]} classes, forest has {self.n_classes_}"
-            )
-        labels = (
-            np.asarray(tree.classes_, dtype=int)
-            if tree.classes_ is not None
-            else np.arange(probs.shape[1])
-        )
-        aligned = np.zeros((probs.shape[0], self.n_classes_), dtype=float)
-        aligned[:, labels] = probs
-        return aligned
-
-    def predict_proba(self, x: np.ndarray, traversal: str = "flat") -> np.ndarray:
-        """Average of member-tree leaf class frequencies.
-
-        ``traversal`` selects the member-tree inference path: ``"flat"``
-        (vectorised flattened arrays, the default hot path), ``"nodes"``
-        (index-partition walk over ``TreeNode``) or ``"per-row"`` (naive
-        recursive descent).  All three return bit-identical results;
-        the alternates exist for the equivalence suite and benchmarks.
+        Runs at the end of ``fit`` and in the deserialiser; call it
+        again after replacing or editing ``trees_``.  Each tree's leaf
+        rows are scattered into the forest's class space by the tree's
+        ``classes_`` labels, so narrow or gappy trees (version-1
+        payloads, externally fitted trees) align by label here, once.
         """
         self._check_fitted()
-        if traversal not in _TRAVERSALS:
-            raise ValueError(f"unknown traversal {traversal!r}; use {_TRAVERSALS}")
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        with obs.span(
-            "forest.predict_proba", rows=x.shape[0], traversal=traversal
-        ):
-            total = np.zeros((x.shape[0], self.n_classes_), dtype=float)
-            for tree in self.trees_:
-                if traversal == "flat":
-                    probs = tree.predict_proba(x)
-                elif traversal == "nodes":
-                    probs = tree._predict_proba_nodes(x)
-                else:
-                    probs = tree._predict_proba_per_row(x)
-                total += self._aligned_probs(tree, probs)
-            return total / len(self.trees_)
+        self.flat_ = compile_classifier(
+            [tree._check_fitted() for tree in self.trees_],
+            self.n_classes_,
+            [tree.classes_ for tree in self.trees_],
+        )
+        return self.flat_
 
-    def predict(self, x: np.ndarray, traversal: str = "flat") -> np.ndarray:
+    def predict_proba(self, x: np.ndarray) -> np.ndarray:
+        """Average of member-tree leaf class frequencies."""
+        self._check_fitted()
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        with obs.span("forest.predict_proba", rows=x.shape[0]):
+            return self.flat_.predict_value(x)
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
         """Majority (probability-averaged) class per row."""
-        return np.argmax(self.predict_proba(x, traversal=traversal), axis=1)
+        return np.argmax(self.predict_proba(x), axis=1)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Flat-tree leaf id per (row, member tree): shape (n, n_trees)."""
+        """Leaf id per (row, member tree), shape (n, n_trees).
+
+        Ids are local to each tree (node ``flat_.roots[t] + id`` of the
+        fused table).
+        """
         self._check_fitted()
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.column_stack([tree.apply(x) for tree in self.trees_])
+        return self.flat_.apply(x) - self.flat_.roots
 
     @property
     def oob_error_(self) -> float | None:
@@ -406,6 +384,7 @@ class RandomForestRegressor:
         self.workers = workers
         self.splitter = _check_splitter(splitter)
         self.trees_: list[DecisionTreeRegressor] = []
+        self.flat_: NodeTable | None = None
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "RandomForestRegressor":
         x = np.asarray(x, dtype=float)
@@ -435,13 +414,18 @@ class RandomForestRegressor:
         )
         workers = resolve_workers(self.workers, self.n_estimators)
         self.trees_ = list(_map_tree_fits(ctx, self.n_estimators, workers))
+        self.compile_flat()
         return self
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
+    def compile_flat(self) -> NodeTable:
+        """(Re)compile the fused node table from the member trees."""
         if not self.trees_:
             raise RuntimeError("forest is not fitted")
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        total = np.zeros(x.shape[0], dtype=float)
-        for tree in self.trees_:
-            total += tree.predict(x)
-        return total / len(self.trees_)
+        self.flat_ = compile_regressor([tree.root_ for tree in self.trees_])
+        return self.flat_
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """Mean of the member trees' leaf targets, in tree order."""
+        if not self.trees_:
+            raise RuntimeError("forest is not fitted")
+        return self.flat_.predict_value(x)[:, 0]

@@ -18,7 +18,7 @@ Four structural wins over the exact engine:
   member trees and fork-pool workers (copy-on-write pages -- the code
   matrix is never re-binned or re-pickled per tree).  Bin boundaries
   map back to real feature-space thresholds, so fitted trees are
-  ordinary :class:`~repro.ml.tree.TreeNode` graphs: ``FlatTree``
+  ordinary :class:`~repro.ml.tree.TreeNode` graphs: node-table
   compilation, serialisation and serving are completely unchanged.
 * **Level-wise vectorised growth.**  Nodes are grown breadth-first: at
   each depth the class histograms of *every* frontier node land in one
@@ -90,7 +90,7 @@ def bin_thresholds(col: np.ndarray, max_bins: int = MAX_BINS) -> np.ndarray:
     distinct-value-space fallback when the mass is so concentrated
     that every rank lands on one value.  NaNs are ignored here and
     coded into the top bin (so they route right at inference, matching
-    ``FlatTree``'s IEEE semantics).
+    the node table's IEEE semantics).
     """
     col = np.asarray(col, dtype=float)
     if not 2 <= max_bins <= MAX_BINS:

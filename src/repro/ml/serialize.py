@@ -3,7 +3,7 @@
 The PME ships its fitted model to YourAdValue clients "in the form of a
 decision tree" (paper section 3.2).  We serialise trees and forests to
 plain JSON-compatible dicts: the client needs no training code, only
-the traversal logic, mirroring how a browser extension would embed the
+the tree-walking logic, mirroring how a browser extension would embed the
 model.
 """
 
@@ -110,9 +110,9 @@ def tree_to_dict(tree: DecisionTreeClassifier) -> dict[str, Any]:
 def tree_from_dict(payload: dict[str, Any]) -> DecisionTreeClassifier:
     """Rebuild a classifier tree from :func:`tree_to_dict` output.
 
-    The flattened inference arrays are recompiled on load (they are
-    derived state and never serialised), so a deserialised tree scores
-    at full speed immediately.
+    The node table is derived state and never serialised: a lone tree
+    compiles it on first prediction, forest members never (the forest
+    compiles one table for all of them on load).
     """
     if payload.get("kind") != "decision_tree_classifier":
         raise ValueError(f"not a serialised tree: kind={payload.get('kind')!r}")
@@ -122,7 +122,6 @@ def tree_from_dict(payload: dict[str, Any]) -> DecisionTreeClassifier:
     tree.n_features_ = int(payload["n_features"])
     tree.classes_ = np.arange(tree.n_classes_)
     tree.root_ = _node_from_dict(payload["root"])
-    tree.compile_flat()
     return tree
 
 
@@ -153,7 +152,8 @@ def forest_from_dict(payload: dict[str, Any]) -> RandomForestClassifier:
     Version-2 payloads restore the constructor hyperparameters and the
     fitted state (``feature_importances_``, ``oob_score_``); version-1
     payloads (which carried neither) load with default hyperparameters,
-    matching their historical behaviour.
+    matching their historical behaviour.  The member trees compile into
+    one fused node table on load.
     """
     if payload.get("kind") != "random_forest_classifier":
         raise ValueError(f"not a serialised forest: kind={payload.get('kind')!r}")
@@ -169,6 +169,7 @@ def forest_from_dict(payload: dict[str, Any]) -> RandomForestClassifier:
     forest.n_classes_ = int(payload["n_classes"])
     forest.n_features_ = int(payload["n_features"])
     forest.trees_ = [tree_from_dict(t) for t in payload["trees"]]
+    forest.compile_flat()
     importances = payload.get("feature_importances")
     if importances is not None:
         forest.feature_importances_ = np.asarray(importances, dtype=float)

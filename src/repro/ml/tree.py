@@ -535,7 +535,7 @@ class DecisionTreeClassifier:
         self.n_features_: int = 0
         self.feature_importances_: np.ndarray | None = None
         self.classes_: np.ndarray | None = None
-        self.flat_ = None  # FlatTree, compiled after fit / deserialise
+        self.flat_ = None  # NodeTable, compiled on first predict
 
     # -- fitting -----------------------------------------------------------
 
@@ -600,6 +600,7 @@ class DecisionTreeClassifier:
         # Leaf count vectors index by label (np.bincount with minlength
         # n_classes_), so column j of any output is class label j.
         self.classes_ = np.arange(self.n_classes_)
+        self.flat_ = None
         self._importance_acc = np.zeros(self.n_features_)
         params = self._growth_params()
         if hist:
@@ -631,21 +632,24 @@ class DecisionTreeClassifier:
             self._importance_acc / total if total > 0 else self._importance_acc
         )
         del self._importance_acc
-        self.compile_flat()
         return self
 
     def compile_flat(self):
-        """(Re)compile the flattened inference arrays from ``root_``.
+        """(Re)compile the one-root :class:`repro.ml.flat.NodeTable`.
 
-        Called automatically at the end of ``fit`` and by the
-        deserialiser; also usable after manual ``root_`` surgery.
-        Returns the :class:`repro.ml.flat.FlatTree`.
+        Runs on the first prediction after ``fit`` or deserialisation;
+        call it again after manual ``root_`` surgery.  Forest member
+        trees never compile their own table -- the forest compiles all
+        of them into one.
         """
-        from repro.ml.flat import flatten_classifier_tree
+        from repro.ml.flat import compile_classifier
 
         root = self._check_fitted()
-        self.flat_ = flatten_classifier_tree(root, self.n_classes_)
+        self.flat_ = compile_classifier([root], self.n_classes_, [self.classes_])
         return self.flat_
+
+    def _table(self):
+        return self.flat_ if self.flat_ is not None else self.compile_flat()
 
     def _growth_params(self) -> _GrowthParams:
         max_features: int | None
@@ -738,84 +742,15 @@ class DecisionTreeClassifier:
             raise RuntimeError("tree is not fitted")
         return self.root_
 
-    def _leaf_for(self, row: np.ndarray) -> TreeNode:
-        node = self._check_fitted()
-        while not node.is_leaf:
-            assert node.feature is not None and node.threshold is not None
-            node = node.left if row[node.feature] <= node.threshold else node.right
-            assert node is not None
-        return node
-
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        """Class-frequency probabilities of the reached leaf, per row.
-
-        Uses the flattened arrays (:meth:`compile_flat`) when available
-        -- a level-synchronous vectorised walk whose interpreter cost is
-        ``O(depth)`` -- and falls back to the index-partition node walk
-        otherwise.  All traversal modes produce bit-identical output.
-        """
-        if self.flat_ is not None:
-            x = np.atleast_2d(np.asarray(x, dtype=float))
-            return self.flat_.predict_value(x)
-        return self._predict_proba_nodes(x)
+        """Class-frequency probabilities of the reached leaf, per row."""
+        self._check_fitted()
+        return self._table().predict_value(x)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Flat-tree leaf node id per row (requires compiled arrays)."""
-        if self.flat_ is None:
-            self.compile_flat()
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return self.flat_.apply(x)
-
-    def _predict_proba_nodes(self, x: np.ndarray) -> np.ndarray:
-        """Index-partition batch walk over the ``TreeNode`` graph.
-
-        The pre-flattening hot path, kept as the reference
-        implementation for the equivalence suite and benchmarks.
-        """
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        root = self._check_fitted()
-        out = np.empty((x.shape[0], self.n_classes_), dtype=float)
-        stack: list[tuple[TreeNode, np.ndarray]] = [
-            (root, np.arange(x.shape[0]))
-        ]
-        while stack:
-            node, indices = stack.pop()
-            if indices.size == 0:
-                continue
-            if node.is_leaf:
-                counts = node.value
-                assert isinstance(counts, np.ndarray)
-                total = counts.sum()
-                probs = counts / total if total > 0 else np.full(
-                    self.n_classes_, 1.0 / self.n_classes_
-                )
-                out[indices] = probs
-                continue
-            assert node.feature is not None and node.threshold is not None
-            assert node.left is not None and node.right is not None
-            mask = x[indices, node.feature] <= node.threshold
-            stack.append((node.left, indices[mask]))
-            stack.append((node.right, indices[~mask]))
-        return out
-
-    def _predict_proba_per_row(self, x: np.ndarray) -> np.ndarray:
-        """Row-at-a-time recursive traversal (the naive baseline).
-
-        One ``_leaf_for`` pointer chase per row -- ``O(rows x depth)``
-        interpreter work.  Kept only so benchmarks and the equivalence
-        suite can quantify what the batch walks buy.
-        """
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        """Node-table leaf id per row."""
         self._check_fitted()
-        out = np.empty((x.shape[0], self.n_classes_), dtype=float)
-        for i in range(x.shape[0]):
-            counts = self._leaf_for(x[i]).value
-            assert isinstance(counts, np.ndarray)
-            total = counts.sum()
-            out[i] = counts / total if total > 0 else np.full(
-                self.n_classes_, 1.0 / self.n_classes_
-            )
-        return out
+        return self._table().apply(x)[:, 0]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Most probable class per row."""
@@ -870,15 +805,15 @@ class DecisionTreeRegressor:
         self.splitter = _check_splitter(splitter)
         self.root_: TreeNode | None = None
         self.n_features_: int = 0
-        self.flat_ = None  # FlatTree, compiled after fit
+        self.flat_ = None  # NodeTable, compiled on first predict
 
     def compile_flat(self):
-        """(Re)compile the flattened inference arrays from ``root_``."""
-        from repro.ml.flat import flatten_regressor_tree
+        """(Re)compile the one-root :class:`repro.ml.flat.NodeTable`."""
+        from repro.ml.flat import compile_regressor
 
         if self.root_ is None:
             raise RuntimeError("tree is not fitted")
-        self.flat_ = flatten_regressor_tree(self.root_)
+        self.flat_ = compile_regressor([self.root_])
         return self.flat_
 
     def fit(self, x: np.ndarray, y: np.ndarray,
@@ -943,7 +878,7 @@ class DecisionTreeRegressor:
                 self.root_ = grower.grow(idx)
         else:
             self.root_ = self._grow(x, y, 0, params)
-        self.compile_flat()
+        self.flat_ = None
         return self
 
     def _grow(self, x: np.ndarray, y: np.ndarray, depth: int,
@@ -991,28 +926,5 @@ class DecisionTreeRegressor:
     def predict(self, x: np.ndarray) -> np.ndarray:
         if self.root_ is None:
             raise RuntimeError("tree is not fitted")
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if self.flat_ is not None:
-            return self.flat_.predict_value(x)[:, 0]
-        return self._predict_nodes(x)
-
-    def _predict_nodes(self, x: np.ndarray) -> np.ndarray:
-        """Index-partition batch walk (pre-flattening reference path)."""
-        out = np.empty(x.shape[0], dtype=float)
-        stack: list[tuple[TreeNode, np.ndarray]] = [
-            (self.root_, np.arange(x.shape[0]))
-        ]
-        while stack:
-            node, indices = stack.pop()
-            if indices.size == 0:
-                continue
-            if node.is_leaf:
-                assert isinstance(node.value, float)
-                out[indices] = node.value
-                continue
-            assert node.feature is not None and node.threshold is not None
-            assert node.left is not None and node.right is not None
-            mask = x[indices, node.feature] <= node.threshold
-            stack.append((node.left, indices[mask]))
-            stack.append((node.right, indices[~mask]))
-        return out
+        table = self.flat_ if self.flat_ is not None else self.compile_flat()
+        return table.predict_value(x)[:, 0]

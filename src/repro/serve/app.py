@@ -280,7 +280,7 @@ class PmeServer:
         The snapshot is captured once per batch: every request in the
         batch is answered by exactly one model version, and the result
         is bit-identical to a per-row ``estimate_one`` against that
-        snapshot (the flat traversal is row-independent and the
+        snapshot (the fused forest walk is row-independent and the
         time-correction multiply is element-wise).
         """
         snapshot = self.store.current

@@ -1,9 +1,8 @@
 """Micro-batching queue for the ``/estimate`` hot path.
 
-PR 2's forest bench showed why this exists: one flattened
-``predict_proba`` call costs O(trees x depth) *python-level* work no
-matter how many rows ride along -- scoring 32 rows in one call is
-nearly as cheap as scoring 1.  A serving process therefore wants to
+One fused-forest ``predict_proba`` call costs O(depth) *python-level*
+work no matter how many rows ride along -- scoring 32 rows in one call
+is nearly as cheap as scoring 1.  A serving process therefore wants to
 coalesce concurrent in-flight estimate requests into a single
 vectorised call instead of walking the forest once per request.
 
@@ -18,7 +17,8 @@ baseline configuration ``bench_serve`` compares against.  The batcher
 is single-consumer and lives on the event loop; the predict callable
 runs inline (it is one short vectorised numpy call) so results complete
 in submission order and every waiter observes exactly one model
-snapshot per batch.
+snapshot per batch.  When a batched call raises, the batch is
+re-predicted row by row, so one bad row fails only its own request.
 """
 
 from __future__ import annotations
@@ -157,13 +157,21 @@ class MicroBatcher:
                 with obs.span("serve.batch_flush", rows=len(batch)):
                     try:
                         results = self._predict([p.row for p in batch])
-                    except Exception as exc:  # noqa: BLE001 - fan the error out
+                    except Exception as exc:  # noqa: BLE001 - retried per row below
                         error = exc
             self.last_trace = trace.tree()
             if error is not None:
+                # Re-predict row by row: an error reaches only the
+                # request whose row caused it.
                 for pending in batch:
-                    if not pending.future.done():
-                        pending.future.set_exception(error)
+                    if pending.future.done():
+                        continue
+                    try:
+                        (result,) = self._predict([pending.row])
+                    except Exception as exc:  # noqa: BLE001 - this request's error
+                        pending.future.set_exception(exc)
+                    else:
+                        pending.future.set_result(result)
                 continue
             elapsed = time.perf_counter() - start
             if len(results) != len(batch):

@@ -106,6 +106,22 @@ class TestYourAdValue:
         assert first
         assert client.drain_notifications() == []
 
+    @pytest.mark.tier1
+    def test_observe_many_ledger_identical_to_observe_loop(self, environment):
+        dataset, package, directory = environment
+        rows = rows_for_user(dataset, busiest_user(dataset))
+        batched = YourAdValue(package, directory)
+        looped = YourAdValue(package, directory)
+        found = batched.observe_many(rows)
+        for row in rows:
+            looped.observe(row)
+        kinds = {entry.encrypted for entry in looped.ledger}
+        assert kinds == {True, False}, "need cleartext and encrypted rows"
+        assert found == len(looped.ledger)
+        # Dataclass equality compares every amount as an exact float.
+        assert batched.ledger == looped.ledger
+        assert batched.drain_notifications() == looped.drain_notifications()
+
     def test_content_rows_ignored(self, environment, client):
         dataset, _, _ = environment
         content = [r for r in dataset.rows if r.kind == "content"][:200]
@@ -119,6 +135,7 @@ class TestYourAdValue:
         newer["version"] = 2
         assert client.check_for_update(newer)
         assert client.model_version == 2
+        assert client.estimator.model is client.model
 
     def test_contribution_records_are_anonymous(self, environment, client):
         dataset, _, _ = environment

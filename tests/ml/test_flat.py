@@ -1,19 +1,17 @@
-"""Unit tests for the flattened tree representation (repro.ml.flat)."""
+"""Unit tests for the fused node table (repro.ml.flat)."""
 
 import numpy as np
 import pytest
 
-from repro.ml.flat import (
-    FlatTree,
-    flatten_classifier_tree,
-    flatten_regressor_tree,
-)
+from repro.ml.flat import NodeTable, compile_classifier, compile_regressor
 from repro.ml.serialize import dumps, loads, tree_from_dict, tree_to_dict
 from repro.ml.tree import (
     DecisionTreeClassifier,
     DecisionTreeRegressor,
     TreeNode,
 )
+
+from . import oracle
 
 
 def _data(n=300, seed=0):
@@ -27,24 +25,26 @@ class TestCompilation:
     def test_node_count_matches_tree(self):
         x, y = _data()
         tree = DecisionTreeClassifier(max_depth=6).fit(x, y)
-        flat = tree.flat_
-        assert isinstance(flat, FlatTree)
+        flat = tree.compile_flat()
+        assert isinstance(flat, NodeTable)
         assert flat.n_nodes == 2 * tree.n_leaves() - 1
         assert flat.n_outputs == tree.n_classes_
-        # Leaves carry no children; internals always carry both.
+        assert flat.n_trees == 1 and flat.roots[0] == 0
+        # Leaves carry no children; internals always carry both, the
+        # left child directly after its parent (pre-order ids).
         leaves = flat.feature < 0
         assert np.all(flat.left[leaves] == -1)
         assert np.all(flat.right[leaves] == -1)
-        assert np.all(flat.left[~leaves] >= 0)
-        assert np.all(flat.right[~leaves] >= 0)
+        assert np.all(flat.left[~leaves] == np.flatnonzero(~leaves) + 1)
+        assert np.all(flat.right[~leaves] > flat.left[~leaves])
         assert np.all(np.isnan(flat.threshold[leaves]))
 
     def test_recompilation_is_deterministic(self):
         x, y = _data()
         tree = DecisionTreeClassifier(max_depth=8).fit(x, y)
-        first = tree.flat_
+        first = tree.compile_flat()
         second = tree.compile_flat()
-        for field in ("feature", "threshold", "left", "right", "value"):
+        for field in ("feature", "threshold", "left", "right", "value", "roots"):
             a, b = getattr(first, field), getattr(second, field)
             assert np.array_equal(a, b, equal_nan=True)
 
@@ -52,7 +52,7 @@ class TestCompilation:
         x = np.zeros((10, 2))
         y = np.zeros(10, dtype=int)
         tree = DecisionTreeClassifier().fit(x, y)
-        assert tree.flat_.n_nodes == 1
+        assert tree.compile_flat().n_nodes == 1
         probs = tree.predict_proba(np.ones((3, 2)))
         assert probs.shape == (3, 1)
         assert np.all(probs == 1.0)
@@ -61,19 +61,16 @@ class TestCompilation:
         x, y = _data(500, seed=3)
         tree = DecisionTreeClassifier(max_depth=10).fit(x, y)
         fresh = np.random.default_rng(11).normal(size=(200, 4))
-        assert np.array_equal(
-            tree.flat_.predict_value(fresh), tree._predict_proba_nodes(fresh)
-        )
-        assert np.array_equal(
-            tree.flat_.predict_value(fresh[:30]),
-            tree._predict_proba_per_row(fresh[:30]),
-        )
+        expected = oracle.tree_proba(tree, fresh)
+        assert np.array_equal(tree.predict_proba(fresh), expected)
+        single = np.vstack([tree.predict_proba(row) for row in fresh[:30]])
+        assert np.array_equal(single, expected[:30])
 
     def test_wider_class_space_alignment(self):
-        # Compiling into a wider forest class space scatters by label.
+        # Compiling into a wider model class space scatters by label.
         x, y = _data()
         tree = DecisionTreeClassifier(max_depth=3).fit(x, y)
-        wide = flatten_classifier_tree(tree.root_, tree.n_classes_ + 2)
+        wide = compile_classifier([tree.root_], tree.n_classes_ + 2)
         probs = wide.predict_value(x[:10])
         assert probs.shape == (10, tree.n_classes_ + 2)
         assert np.array_equal(probs[:, : tree.n_classes_],
@@ -84,7 +81,19 @@ class TestCompilation:
         x, y = _data()
         tree = DecisionTreeClassifier(max_depth=3).fit(x, y)
         with pytest.raises(ValueError):
-            flatten_classifier_tree(tree.root_, tree.n_classes_ - 1)
+            compile_classifier([tree.root_], tree.n_classes_ - 1)
+
+    def test_trees_concatenate_with_root_offsets(self):
+        x, y = _data()
+        a = DecisionTreeClassifier(max_depth=3).fit(x, y)
+        b = DecisionTreeClassifier(max_depth=5).fit(x[::2], y[::2])
+        fused = compile_classifier([a.root_, b.root_], 3)
+        n_a = a.compile_flat().n_nodes
+        assert list(fused.roots) == [0, n_a]
+        assert fused.n_nodes == n_a + b.compile_flat().n_nodes
+        leaves = fused.apply(x[:20])
+        assert np.array_equal(leaves[:, 0], a.apply(x[:20]))
+        assert np.array_equal(leaves[:, 1] - n_a, b.apply(x[:20]))
 
 
 class TestApply:
@@ -98,10 +107,10 @@ class TestApply:
     def test_apply_agrees_with_per_row_walk(self):
         x, y = _data(200, seed=9)
         tree = DecisionTreeClassifier(max_depth=9).fit(x, y)
-        flat = tree.flat_
+        flat = tree.compile_flat()
         for i in range(0, 200, 17):
-            leaf_node = tree._leaf_for(x[i])
-            flat_leaf = flat.apply(x[i : i + 1])[0]
+            leaf_node = oracle.leaf_for(tree.root_, x[i])
+            flat_leaf = tree.apply(x[i : i + 1])[0]
             counts = leaf_node.value
             assert np.array_equal(flat.value[flat_leaf], counts / counts.sum())
 
@@ -109,8 +118,12 @@ class TestApply:
         x, y = _data()
         tree = DecisionTreeClassifier(max_depth=5).fit(x, y)
         probe = np.full((1, x.shape[1]), np.nan)
+        rightmost = tree.root_
+        while rightmost.feature is not None:
+            rightmost = rightmost.right
+        assert oracle.leaf_for(tree.root_, probe[0]) is rightmost
         assert np.array_equal(
-            tree.predict_proba(probe), tree._predict_proba_nodes(probe)
+            tree.predict_proba(probe), oracle.tree_proba(tree, probe)
         )
 
 
@@ -121,11 +134,11 @@ class TestRegressorFlat:
         y = x[:, 0] ** 2 + x[:, 1]
         tree = DecisionTreeRegressor(max_depth=8).fit(x, y)
         fresh = rng.uniform(-2, 2, size=(150, 3))
-        assert np.array_equal(tree.predict(fresh), tree._predict_nodes(fresh))
+        assert np.array_equal(tree.predict(fresh), oracle.tree_regress(tree, fresh))
 
     def test_flatten_regressor_single_output(self):
         root = TreeNode(value=1.5, n_samples=3, impurity=0.0)
-        flat = flatten_regressor_tree(root)
+        flat = compile_regressor([root])
         assert flat.n_outputs == 1
         assert flat.predict_value(np.zeros((2, 1)))[0, 0] == 1.5
 
@@ -135,7 +148,6 @@ class TestSerializeRoundTrip:
         x, y = _data(350, seed=6)
         tree = DecisionTreeClassifier(max_depth=9).fit(x, y)
         clone = tree_from_dict(loads(dumps(tree_to_dict(tree))))
-        assert clone.flat_ is not None  # recompiled on load
         fresh = np.random.default_rng(21).normal(size=(120, 4))
         assert np.array_equal(clone.predict_proba(fresh),
                               tree.predict_proba(fresh))

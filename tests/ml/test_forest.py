@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from repro.ml.forest import RandomForestClassifier, RandomForestRegressor
+from repro.ml.tree import DecisionTreeClassifier, TreeNode
 from repro.util.rng import derive_seed
+
+from . import oracle
 
 
 def _data(n=400, seed=0):
@@ -164,24 +167,34 @@ class TestClassSpaceAlignment:
         # the first columns.
         x, y = _data(200)
         forest = RandomForestClassifier(n_estimators=4, seed=2).fit(x, y)
-        tree = forest.trees_[0]
-        narrow = np.array([[0.25, 0.75]])
-        tree_like = type("T", (), {"classes_": np.array([0, 2])})()
-        aligned = forest._aligned_probs(tree_like, narrow)
-        assert aligned.shape == (1, forest.n_classes_)
-        assert aligned[0, 0] == 0.25
-        assert aligned[0, 1] == 0.0      # label 1 unknown to the tree
-        assert aligned[0, 2] == 0.75     # column 1 is label 2, not label 1
-        # Sanity: a full-width tree passes through untouched.
-        full = tree.predict_proba(x[:3])
-        assert forest._aligned_probs(tree, full) is full
+        full = forest.predict_proba(x[:3])
+        gappy = DecisionTreeClassifier()
+        gappy.root_ = TreeNode(
+            value=np.array([1.0, 3.0]), n_samples=4, impurity=0.375
+        )
+        gappy.n_classes_ = 2
+        gappy.classes_ = np.array([0, 2])
+        forest.trees_.append(gappy)
+        forest.compile_flat()
+        aligned = forest.flat_.value[forest.flat_.roots[-1]]
+        assert aligned.shape == (forest.n_classes_,)
+        assert aligned[0] == 0.25
+        assert aligned[1] == 0.0      # label 1 unknown to the tree
+        assert aligned[2] == 0.75     # column 1 is label 2, not label 1
+        assert np.array_equal(
+            forest.predict_proba(x[:3]), oracle.forest_proba(forest, x[:3])
+        )
+        # Sanity: the full-width trees' leaf rows are unchanged.
+        forest.trees_.pop()
+        forest.compile_flat()
+        assert np.array_equal(forest.predict_proba(x[:3]), full)
 
     def test_wider_tree_than_forest_rejected(self):
         x, y = _data(200)
         forest = RandomForestClassifier(n_estimators=2, seed=0).fit(x, y)
-        too_wide = np.ones((1, forest.n_classes_ + 1))
+        forest.n_classes_ -= 1
         with pytest.raises(ValueError):
-            forest._aligned_probs(forest.trees_[0], too_wide)
+            forest.compile_flat()
 
 
 class TestLabelValidation:

@@ -8,8 +8,9 @@ changes a single bit of output:
   importances (every tree's randomness derives from
   ``derive_seed(seed, "tree-t")`` and per-tree results merge in tree
   order);
-* flattened batch traversal must agree **exactly** with the
-  index-partition node walk and the naive per-row recursion.
+* the fused node-table walk must agree **exactly** with per-row
+  recursive descent (the test oracle in ``tests/ml/oracle.py``), in
+  batches and one row at a time.
 
 The sequential-vs-parallel identity is a ``tier1`` gate, like the
 analyzer's: a merge-order or seeding regression must fail fast.
@@ -20,7 +21,9 @@ import pytest
 
 from repro.core.price_model import EncryptedPriceModel
 from repro.ml.forest import RandomForestClassifier, RandomForestRegressor
-from repro.ml.serialize import dumps, forest_to_dict
+from repro.ml.serialize import dumps, forest_from_dict, forest_to_dict, loads
+
+from . import oracle
 
 
 def _data(n=300, n_features=6, n_classes=4, seed=0):
@@ -110,56 +113,93 @@ class TestParallelTrainingIdentity:
 
 
 class TestTraversalEquivalence:
-    def test_flat_vs_nodes_vs_per_row_exact(self):
+    def test_fused_matches_recursive_oracle_exact(self):
         x, y = _data(400, seed=7)
         forest = RandomForestClassifier(
             n_estimators=10, max_depth=10, seed=13
         ).fit(x, y)
         rng = np.random.default_rng(99)
         fresh = rng.normal(size=(200, x.shape[1]))
-        flat = forest.predict_proba(fresh, traversal="flat")
-        nodes = forest.predict_proba(fresh, traversal="nodes")
-        per_row = forest.predict_proba(fresh[:40], traversal="per-row")
-        assert np.array_equal(flat, nodes)
-        assert np.array_equal(flat[:40], per_row)
+        expected = oracle.forest_proba(forest, fresh)
+        assert np.array_equal(forest.predict_proba(fresh), expected)
         assert np.array_equal(
-            forest.predict(fresh, traversal="flat"),
-            forest.predict(fresh, traversal="nodes"),
+            forest.predict(fresh), np.argmax(expected, axis=1)
         )
+        # One row at a time gives the same answer as the batch.
+        single = np.vstack([forest.predict_proba(row) for row in fresh[:40]])
+        assert np.array_equal(single, expected[:40])
+
+    def test_regressor_matches_recursive_oracle_exact(self):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(300, 5))
+        y = x[:, 0] - 2.0 * x[:, 1] ** 2 + rng.normal(0, 0.1, size=300)
+        forest = RandomForestRegressor(n_estimators=9, max_depth=9, seed=6).fit(x, y)
+        fresh = rng.normal(size=(150, 5))
+        expected = oracle.forest_regress(forest, fresh)
+        assert np.array_equal(forest.predict(fresh), expected)
+        single = np.concatenate([forest.predict(row) for row in fresh[:30]])
+        assert np.array_equal(single, expected[:30])
 
     def test_rows_exactly_on_thresholds(self):
-        """x[feature] == threshold must route left in every traversal."""
+        """x[feature] == threshold must route left, as recursion does."""
         x, y = _data(300, seed=5)
         forest = RandomForestClassifier(n_estimators=6, seed=21).fit(x, y)
         # Build probe rows that sit exactly on fitted thresholds.
+        flat = forest.flat_
         probes = []
-        for tree in forest.trees_:
-            flat = tree.flat_
-            internal = np.flatnonzero(flat.feature >= 0)[:5]
+        for root in flat.roots:
+            internal = root + np.flatnonzero(flat.feature[root:] >= 0)[:5]
             for idx in internal:
                 row = x[0].copy()
                 row[flat.feature[idx]] = flat.threshold[idx]
                 probes.append(row)
         probes = np.asarray(probes)
         assert np.array_equal(
-            forest.predict_proba(probes, traversal="flat"),
-            forest.predict_proba(probes, traversal="nodes"),
-        )
-        assert np.array_equal(
-            forest.predict_proba(probes, traversal="flat"),
-            forest.predict_proba(probes, traversal="per-row"),
+            forest.predict_proba(probes), oracle.forest_proba(forest, probes)
         )
 
-    def test_unknown_traversal_rejected(self):
+    def test_nan_routes_right(self):
+        x, y = _data(300, seed=4)
+        forest = RandomForestClassifier(n_estimators=5, seed=8).fit(x, y)
+        probes = np.tile(x[:4], (2, 1))
+        probes[:4, 1] = np.nan
+        probes[4:] = np.nan
+        assert np.array_equal(
+            forest.predict_proba(probes), oracle.forest_proba(forest, probes)
+        )
+
+    def test_traversal_kwarg_removed(self):
         x, y = _data(100)
         forest = RandomForestClassifier(n_estimators=2, seed=0).fit(x, y)
-        with pytest.raises(ValueError, match="traversal"):
-            forest.predict_proba(x, traversal="warp")
+        with pytest.raises(TypeError):
+            forest.predict_proba(x, traversal="flat")
+        with pytest.raises(TypeError):
+            forest.predict(x, traversal="nodes")
 
     def test_apply_reaches_leaves(self):
         x, y = _data(200)
         forest = RandomForestClassifier(n_estimators=5, seed=2).fit(x, y)
         leaves = forest.apply(x[:50])
         assert leaves.shape == (50, 5)
-        for column, tree in zip(leaves.T, forest.trees_):
-            assert np.all(tree.flat_.feature[column] == -1)
+        flat = forest.flat_
+        for column, root, tree in zip(leaves.T, flat.roots, forest.trees_):
+            assert np.all(flat.feature[root + column] == -1)
+            assert np.array_equal(tree.classes_, np.arange(4))
+            # Local ids are the member tree's own one-root table ids.
+            assert np.array_equal(column, tree.apply(x[:50]))
+            for i in range(0, 50, 7):
+                counts = oracle.leaf_for(tree.root_, x[i]).value
+                assert np.array_equal(
+                    flat.value[root + column[i]], counts / counts.sum()
+                )
+
+    def test_member_trees_carry_no_table_of_their_own(self):
+        x, y = _data(200)
+        forest = RandomForestClassifier(
+            n_estimators=4, oob_score=True, seed=2
+        ).fit(x, y)
+        assert forest.flat_.n_trees == 4
+        assert all(tree.flat_ is None for tree in forest.trees_)
+        clone = forest_from_dict(loads(dumps(forest_to_dict(forest))))
+        assert all(tree.flat_ is None for tree in clone.trees_)
+        assert np.array_equal(clone.predict_proba(x), forest.predict_proba(x))

@@ -74,7 +74,7 @@ class TestQuantiserProperties:
         partitions the rows *identically* to splitting the raw column
         at the real threshold ``thr[b]`` -- including NaNs, which take
         the top code and fail ``v <= thr[b]``, i.e. route right both
-        ways (FlatTree's IEEE comparison semantics).
+        ways (the node table's IEEE comparison semantics).
         """
         col = _col(values)
         thr = bin_thresholds(col)
@@ -277,7 +277,7 @@ class TestPriceModelHist:
         )
         assert model.forest.splitter == "hist"
         # Serialised packages are engine-agnostic: the loaded forest is
-        # plain TreeNode/FlatTree structure and estimates identically.
+        # plain TreeNode structure and estimates identically.
         loaded = EncryptedPriceModel.from_package(model.to_package())
         a = model.predict_class(rows[:20])
         b = loaded.predict_class(rows[:20])

@@ -241,6 +241,42 @@ class TestEstimation:
 
 
 class TestRobustness:
+    @pytest.mark.tier1
+    def test_bad_row_fails_only_its_own_request(self, package, feature_rows):
+        """One bad row must not fail the requests batched with it."""
+        reference = Estimator.from_package(package)
+        good = feature_rows[:5]
+        bad = dict(good[0], time_of_day="evening")
+        with pytest.raises(ValueError):
+            reference.estimate([bad])
+        bodies = [estimate_body(row) for row in good[:2]]
+        bodies.append(estimate_body(bad))
+        bodies += [estimate_body(row) for row in good[2:]]
+
+        async def scenario(server):
+            responses = await asyncio.gather(
+                *(
+                    request_once(
+                        "127.0.0.1", server.port, "POST", "/estimate", body=body
+                    )
+                    for body in bodies
+                )
+            )
+            # All six rode in one micro-batch.
+            assert server._batcher.last_trace["attrs"]["batch_size"] == 6
+            return responses
+
+        responses = serve(
+            scenario, package=package, max_batch=32, max_delay_ms=200.0
+        )
+        bad_response = responses.pop(2)
+        assert bad_response.status == 500
+        assert "ValueError" in bad_response.json()["error"]
+        assert [r.status for r in responses] == [200] * 5
+        assert [r.json()["estimated_cpm"] for r in responses] == [
+            reference.estimate_one(row) for row in good
+        ]
+
     def test_malformed_and_unknown_requests(self, package):
         async def scenario(server):
             bad_json = await request_once(
