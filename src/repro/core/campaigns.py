@@ -21,6 +21,7 @@ from typing import Hashable
 
 import numpy as np
 
+from repro import obs
 from repro.rtb.adslots import CAMPAIGN_PHONE_SIZES, CAMPAIGN_TABLET_SIZES
 from repro.rtb.bidding import Dsp, FeatureBidEngine
 from repro.rtb.campaign import CAMPAIGN_DAYPARTS, Campaign, TargetingSpec
@@ -213,11 +214,12 @@ class CampaignResult:
         }
 
 
-def _sample_setup_timestamp(
-    setup: ProbeSetup, period: Period, rng: np.random.Generator
-) -> float:
-    """A timestamp inside the period matching the setup's daypart and
-    day type, hour-weighted by the browsing diurnal profile."""
+def _setup_calendar(
+    setup: ProbeSetup, period: Period
+) -> tuple[list[int], list[int], np.ndarray]:
+    """The day offsets inside the period matching the setup's day type,
+    the hours of its daypart, and those hours' probabilities under the
+    browsing diurnal profile."""
     from repro.trace.browsing import HOURLY_WEIGHTS
     from repro.util.timeutil import SECONDS_PER_DAY, is_weekend
 
@@ -232,7 +234,6 @@ def _sample_setup_timestamp(
     ]
     if not day_offsets:  # period too short for the requested day type
         day_offsets = list(range(n_days))
-    day = day_offsets[int(rng.integers(0, len(day_offsets)))]
 
     if setup.daypart == "12am-9am":
         hours = list(range(0, 9))
@@ -241,7 +242,21 @@ def _sample_setup_timestamp(
     else:
         hours = list(range(18, 24))
     weights = np.array([HOURLY_WEIGHTS[h] for h in hours])
-    hour = hours[int(rng.choice(len(hours), p=weights / weights.sum()))]
+    return day_offsets, hours, weights / weights.sum()
+
+
+def _sample_setup_timestamp(
+    calendar: tuple[list[int], list[int], np.ndarray],
+    period: Period,
+    rng: np.random.Generator,
+) -> float:
+    """A timestamp inside the period on one of a setup's calendar days
+    and hours (see :func:`_setup_calendar`), hour-weighted."""
+    from repro.util.timeutil import SECONDS_PER_DAY
+
+    day_offsets, hours, hour_p = calendar
+    day = day_offsets[int(rng.integers(0, len(day_offsets)))]
+    hour = hours[int(rng.choice(len(hours), p=hour_p))]
     ts = (
         period.start
         + day * SECONDS_PER_DAY
@@ -315,80 +330,85 @@ def run_probe_campaign(
     from repro.rtb.adslots import AdSlotSize
     from repro.rtb.cookiesync import synced_uid
     from repro.trace.browsing import PublisherChooser
-    rngs = RngRegistry(derive_seed(seed, f"campaign:{name}"))
-    rng = rngs.get("traffic")
-    setups = build_probe_setups(adxs)
-    campaigns = {
-        s.setup_id: Campaign(
-            campaign_id=f"{name}-{s.setup_id}",
-            advertiser=PROBE_ADVERTISER,
-            targeting=s.targeting(),
-            max_bid_cpm=PROBE_MAX_BID_CPM,
-        )
-        for s in setups
-    }
-    probe = RecordingDsp(
-        PROBE_DSP_NAME,
-        FeatureBidEngine(
-            value_model=market.value_model,
-            noise_sigma=0.20,
-            aggressiveness=PROBE_AGGRESSIVENESS,
-        ),
-        rngs.get("probe-dsp"),
-        campaigns=list(campaigns.values()),
-    )
-    for adx in market.exchanges:
-        market.policy.set_adoption(
-            adx,
-            PROBE_DSP_NAME,
-            epoch(2014, 1, 1) if (encrypted_channel and adx in adxs) else None,
-        )
 
-    chooser = PublisherChooser(market.universe)
-    dsps = market.dsps + [probe]
-    auction_seq = 0
-    for setup in setups:
-        exchange = market.exchanges[setup.adx]
-        for k in range(auctions_per_setup):
-            user = _audience_member(setup, k, rng)
-            ts = _sample_setup_timestamp(setup, period, rng)
-            is_app = setup.context == "app"
-            publisher = chooser.choose(rng, user, is_app)
-            auction_seq += 1
-            auction_id = f"{name}-{auction_seq:08d}"
-            request = BidRequest(
-                auction_id=auction_id,
-                timestamp=ts,
-                imp=Impression(
-                    impression_id=f"{auction_id}-i0",
-                    slot_size=AdSlotSize.parse(setup.slot_size),
-                ),
-                publisher=publisher.domain,
-                publisher_iab=publisher.iab_category,
-                device=Device(
-                    os=user.device.os,
-                    device_type=user.device.device_type,
-                    user_agent=user.device.user_agent(is_app),
-                    ip=user.ip,
-                ),
-                geo=Geo(country="ES", city=user.city.name),
-                user=UserInfo(exchange_uid=synced_uid(setup.adx, user.user_id)),
-                is_app=is_app,
-                adx=setup.adx,
+    with obs.span("campaign.setups"):
+        rngs = RngRegistry(derive_seed(seed, f"campaign:{name}"))
+        rng = rngs.get("traffic")
+        setups = build_probe_setups(adxs)
+        campaigns = {
+            s.setup_id: Campaign(
+                campaign_id=f"{name}-{s.setup_id}",
+                advertiser=PROBE_ADVERTISER,
+                targeting=s.targeting(),
+                max_bid_cpm=PROBE_MAX_BID_CPM,
             )
-            exchange.run_auction(request, dsps, market.policy)
-
-    campaign_to_setup = {f"{name}-{s.setup_id}": s.setup_id for s in setups}
-    impressions = [
-        ProbeImpression(
-            setup_id=campaign_to_setup[campaign_id],
-            charge_price_cpm=price,
-            request=request,
-            encrypted_channel=encrypted_channel,
+            for s in setups
+        }
+        probe = RecordingDsp(
+            PROBE_DSP_NAME,
+            FeatureBidEngine(
+                value_model=market.value_model,
+                noise_sigma=0.20,
+                aggressiveness=PROBE_AGGRESSIVENESS,
+            ),
+            rngs.get("probe-dsp"),
+            campaigns=list(campaigns.values()),
         )
-        for campaign_id, price, request in probe.reports
-        if request is not None and campaign_id in campaign_to_setup
-    ]
+        for adx in market.exchanges:
+            market.policy.set_adoption(
+                adx,
+                PROBE_DSP_NAME,
+                epoch(2014, 1, 1) if (encrypted_channel and adx in adxs) else None,
+            )
+
+    with obs.span("campaign.auctions", auctions=len(setups) * auctions_per_setup):
+        chooser = PublisherChooser(market.universe)
+        dsps = market.dsps + [probe]
+        auction_seq = 0
+        for setup in setups:
+            exchange = market.exchanges[setup.adx]
+            calendar = _setup_calendar(setup, period)
+            for k in range(auctions_per_setup):
+                user = _audience_member(setup, k, rng)
+                ts = _sample_setup_timestamp(calendar, period, rng)
+                is_app = setup.context == "app"
+                publisher = chooser.choose(rng, user, is_app)
+                auction_seq += 1
+                auction_id = f"{name}-{auction_seq:08d}"
+                request = BidRequest(
+                    auction_id=auction_id,
+                    timestamp=ts,
+                    imp=Impression(
+                        impression_id=f"{auction_id}-i0",
+                        slot_size=AdSlotSize.parse(setup.slot_size),
+                    ),
+                    publisher=publisher.domain,
+                    publisher_iab=publisher.iab_category,
+                    device=Device(
+                        os=user.device.os,
+                        device_type=user.device.device_type,
+                        user_agent=user.device.user_agent(is_app),
+                        ip=user.ip,
+                    ),
+                    geo=Geo(country="ES", city=user.city.name),
+                    user=UserInfo(exchange_uid=synced_uid(setup.adx, user.user_id)),
+                    is_app=is_app,
+                    adx=setup.adx,
+                )
+                exchange.run_auction(request, dsps, market.policy)
+
+    with obs.span("campaign.report", reports=len(probe.reports)):
+        campaign_to_setup = {f"{name}-{s.setup_id}": s.setup_id for s in setups}
+        impressions = [
+            ProbeImpression(
+                setup_id=campaign_to_setup[campaign_id],
+                charge_price_cpm=price,
+                request=request,
+                encrypted_channel=encrypted_channel,
+            )
+            for campaign_id, price, request in probe.reports
+            if request is not None and campaign_id in campaign_to_setup
+        ]
     return CampaignResult(
         name=name,
         period=period,

@@ -17,7 +17,7 @@ which is precisely why the paper's Random Forest can learn them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import Callable, Iterable, Protocol
 
 import numpy as np
 
@@ -140,6 +140,16 @@ class Dsp:
     The DSP receives bid requests from exchanges, finds eligible
     campaigns, prices a bid for the best one and responds.  Wins are
     reported back via :meth:`notify_win` so budgets stay accounted.
+
+    Matching goes through a bitmask index built once per campaign book:
+    per targeting dimension, each request value maps to the int whose
+    bit ``i`` is set when campaign ``i`` accepts it (``None`` = any).
+    ``respond`` ANDs the request's nine masks and visits the set bits
+    low to high -- list order, so the engine draws from the RNG exactly
+    as a scan of :meth:`Campaign.eligible_for` over the list would.
+    ``campaigns`` is a tuple that only :meth:`add_campaign` replaces,
+    rebuilding the index with it; a campaign's targeting is read when
+    it joins the book.
     """
 
     def __init__(
@@ -147,39 +157,79 @@ class Dsp:
         name: str,
         engine: BidEngine,
         rng: np.random.Generator,
-        campaigns: list[Campaign] | None = None,
+        campaigns: Iterable[Campaign] | None = None,
     ):
         if not name:
             raise ValueError("DSP name must be non-empty")
         self.name = name
         self.engine = engine
         self.rng = rng
-        self.campaigns: list[Campaign] = list(campaigns or [])
         self.wins = 0
         self.total_spend_usd = 0.0
+        self._set_campaigns(tuple(campaigns or ()))
+
+    @property
+    def campaigns(self) -> tuple[Campaign, ...]:
+        return self._campaigns
 
     def add_campaign(self, campaign: Campaign) -> None:
-        self.campaigns.append(campaign)
+        self._set_campaigns(self._campaigns + (campaign,))
+
+    def _set_campaigns(self, campaigns: tuple[Campaign, ...]) -> None:
+        everyone = (1 << len(campaigns)) - 1
+        index: list[tuple[int, int, dict[str, int]]] = []
+        columns = zip(*(c.targeting.constraints() for c in campaigns))
+        for dim, column in enumerate(columns):
+            any_mask, by_value = 0, {}
+            for i, allowed in enumerate(column):
+                if allowed is None:
+                    any_mask |= 1 << i
+                    continue
+                for value in allowed:
+                    by_value[value] = by_value.get(value, 0) | 1 << i
+            # A dimension no campaign constrains filters nothing.
+            if any_mask != everyone:
+                index.append((dim, any_mask, by_value))
+        by_id: dict[str, Campaign] = {}
+        for campaign in campaigns:
+            by_id.setdefault(campaign.campaign_id, campaign)
+        self._campaigns = campaigns
+        self._everyone = everyone
+        self._index = index
+        self._by_id = by_id
 
     def respond(self, request: BidRequest) -> BidResponse:
         """Answer a bid request with at most one bid (the best campaign)."""
-        best_bid: Bid | None = None
-        for campaign in self.campaigns:
-            if not campaign.eligible_for(request):
+        mask = self._everyone
+        key = request.targeting_key
+        for dim, any_mask, by_value in self._index:
+            mask &= any_mask | by_value.get(key[dim], 0)
+            if not mask:
+                break
+        best: Campaign | None = None
+        best_price = 0.0
+        campaigns = self._campaigns
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            campaign = campaigns[low.bit_length() - 1]
+            if campaign.exhausted:
                 continue
             price = self.engine.price_bid(request, campaign, self.rng)
             if price is None or price <= 0:
                 continue
-            if best_bid is None or price > best_bid.price_cpm:
-                best_bid = Bid(
-                    dsp=self.name,
-                    advertiser=campaign.advertiser,
-                    campaign_id=campaign.campaign_id,
-                    price_cpm=price,
-                    creative_domain=f"ads.{campaign.advertiser.lower()}.com",
-                )
-        bids = (best_bid,) if best_bid is not None else ()
-        return BidResponse(auction_id=request.auction_id, dsp=self.name, bids=bids)
+            if best is None or price > best_price:
+                best, best_price = campaign, price
+        if best is None:
+            return BidResponse(auction_id=request.auction_id, dsp=self.name)
+        bid = Bid(
+            dsp=self.name,
+            advertiser=best.advertiser,
+            campaign_id=best.campaign_id,
+            price_cpm=best_price,
+            creative_domain=f"ads.{best.advertiser.lower()}.com",
+        )
+        return BidResponse(auction_id=request.auction_id, dsp=self.name, bids=(bid,))
 
     def notify_win(
         self,
@@ -191,12 +241,12 @@ class Dsp:
 
         ``request`` carries the auction context; the base DSP ignores it,
         but recording DSPs (probe campaigns) log it as the per-impression
-        performance report advertisers receive.
+        performance report advertisers receive.  Campaign ids are
+        expected to be unique; if not, the first one listed is booked.
         """
-        for campaign in self.campaigns:
-            if campaign.campaign_id == campaign_id:
-                campaign.record_win(charge_price_cpm)
-                self.wins += 1
-                self.total_spend_usd += charge_price_cpm / 1000.0
-                return
-        raise KeyError(f"DSP {self.name} has no campaign {campaign_id!r}")
+        campaign = self._by_id.get(campaign_id)
+        if campaign is None:
+            raise KeyError(f"DSP {self.name} has no campaign {campaign_id!r}")
+        campaign.record_win(charge_price_cpm)
+        self.wins += 1
+        self.total_spend_usd += charge_price_cpm / 1000.0

@@ -11,27 +11,12 @@ of the trace simulator use loose targeting; the probe campaigns of
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterable
 
 from repro.rtb.openrtb import BidRequest
-from repro.util.timeutil import is_weekend
-
-#: Table-5 time-of-day campaign windows (coarser than the analyzer's
-#: six four-hour buckets).
-CAMPAIGN_DAYPARTS: tuple[str, ...] = ("12am-9am", "9am-6pm", "6pm-12am")
-
-
-def campaign_daypart(ts: float) -> str:
-    """Map a timestamp into the Table-5 daypart windows."""
-    from repro.util.timeutil import hour_of
-
-    hour = hour_of(ts)
-    if hour < 9:
-        return "12am-9am"
-    if hour < 18:
-        return "9am-6pm"
-    return "6pm-12am"
+# The daypart windows are part of the targeting vocabulary; re-exported.
+from repro.util.timeutil import CAMPAIGN_DAYPARTS, campaign_daypart  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -53,33 +38,29 @@ class TargetingSpec:
     iab_categories: frozenset[str] | None = None
 
     def matches(self, request: BidRequest) -> bool:
-        """True when the bid request satisfies every constraint."""
-        if self.cities is not None and request.geo.city not in self.cities:
-            return False
-        if self.contexts is not None and request.context not in self.contexts:
-            return False
-        if self.dayparts is not None and campaign_daypart(request.timestamp) not in self.dayparts:
-            return False
-        if self.day_types is not None:
-            day_type = "weekend" if is_weekend(request.timestamp) else "weekday"
-            if day_type not in self.day_types:
-                return False
-        if self.device_types is not None and request.device.device_type not in self.device_types:
-            return False
-        if self.oses is not None and request.device.os not in self.oses:
-            return False
-        if self.slot_sizes is not None and request.imp.slot_size.label not in self.slot_sizes:
-            return False
-        if self.adxs is not None and request.adx not in self.adxs:
-            return False
-        if self.iab_categories is not None and request.publisher_iab not in self.iab_categories:
-            return False
-        return True
+        """True when the bid request satisfies every constraint.
+
+        The constraints line up with ``request.targeting_key``; this
+        per-campaign scan is the reference the DSP's bitmask index
+        (:class:`repro.rtb.bidding.Dsp`) must agree with.
+        """
+        return all(
+            allowed is None or value in allowed
+            for allowed, value in zip(self.constraints(), request.targeting_key)
+        )
+
+    def constraints(self) -> tuple[frozenset[str] | None, ...]:
+        """The per-dimension filters, in ``TARGETING_DIMENSIONS`` order."""
+        return tuple(getattr(self, name) for name in TARGETING_DIMENSIONS)
 
     @classmethod
     def any(cls) -> "TargetingSpec":
         """A spec that matches everything."""
         return cls()
+
+
+#: The targeting dimensions, in the order of ``BidRequest.targeting_key``.
+TARGETING_DIMENSIONS: tuple[str, ...] = tuple(f.name for f in fields(TargetingSpec))
 
 
 @dataclass

@@ -117,7 +117,9 @@ class AdExchange:
         """Broadcast the request, clear the auction, emit the nURL.
 
         Returns ``None`` when no DSP bids above the floor (unsold
-        inventory, which real SSPs would backfill outside RTB).
+        inventory, which real SSPs would backfill outside RTB).  The
+        floor is the exchange's own or the impression's ``bidfloor``,
+        whichever is higher.
         """
         self.auctions_run += 1
         bids: list[Bid] = []
@@ -130,7 +132,7 @@ class AdExchange:
             if self.mechanism == "first_price"
             else run_second_price_auction
         )
-        outcome = clear(bids, floor_cpm=self.floor_cpm)
+        outcome = clear(bids, floor_cpm=max(self.floor_cpm, request.imp.bidfloor_cpm))
         if outcome is None:
             return None
 
@@ -142,38 +144,24 @@ class AdExchange:
                 break
 
         encrypted = policy.is_encrypted(self.name, winner.dsp, request.timestamp)
-        impression_id = f"imp-{self.name[:3].lower()}-{self.auctions_run:08d}"
-        if encrypted:
-            iv = self.rng.bytes(16)
-            notification = WinNotification(
-                adx=self.name,
-                dsp=winner.dsp,
-                charge_price_cpm=None,
-                encrypted_price=encrypt_price(charge, self.keys, iv),
-                impression_id=impression_id,
-                auction_id=request.auction_id,
-                ad_domain=winner.creative_domain,
-                slot_size=request.imp.slot_size.label,
-                publisher=request.publisher,
-                country=request.geo.country,
-                bid_price_cpm=winner.price_cpm,
-                campaign_id=winner.campaign_id,
-            )
-        else:
-            notification = WinNotification(
-                adx=self.name,
-                dsp=winner.dsp,
-                charge_price_cpm=charge,
-                encrypted_price=None,
-                impression_id=impression_id,
-                auction_id=request.auction_id,
-                ad_domain=winner.creative_domain,
-                slot_size=request.imp.slot_size.label,
-                publisher=request.publisher,
-                country=request.geo.country,
-                bid_price_cpm=winner.price_cpm,
-                campaign_id=winner.campaign_id,
-            )
+        notification = WinNotification(
+            adx=self.name,
+            dsp=winner.dsp,
+            charge_price_cpm=None if encrypted else charge,
+            encrypted_price=(
+                encrypt_price(charge, self.keys, self.rng.bytes(16))
+                if encrypted
+                else None
+            ),
+            impression_id=f"imp-{self.name[:3].lower()}-{self.auctions_run:08d}",
+            auction_id=request.auction_id,
+            ad_domain=winner.creative_domain,
+            slot_size=request.imp.slot_size.label,
+            publisher=request.publisher,
+            country=request.geo.country,
+            bid_price_cpm=winner.price_cpm,
+            campaign_id=winner.campaign_id,
+        )
 
         self.auctions_sold += 1
         self.revenue_usd += charge / 1000.0

@@ -16,9 +16,10 @@ price-parameter macros, and the 28-byte shape of encrypted blobs.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Mapping
-from urllib.parse import parse_qsl, quote, urlencode, urlparse
+from urllib.parse import parse_qsl, quote, urlparse
 
 from repro.rtb.pricecrypto import looks_like_encrypted_price
 
@@ -201,8 +202,17 @@ class WinNotification:
         return self.encrypted_price is not None
 
 
-def build_nurl(notification: WinNotification) -> str:
-    """Render a win notification into its exchange's URL format."""
+#: RFC 3986 unreserved characters, which ``quote`` never escapes.
+_UNRESERVED = re.compile(r"[A-Za-z0-9_.~-]*")
+
+
+def _quote(text: str) -> str:
+    """``quote(text, safe="")``, skipped for text it would return as is."""
+    return text if _UNRESERVED.fullmatch(text) else quote(text, safe="")
+
+
+def nurl_params(notification: WinNotification) -> list[tuple[str, str]]:
+    """The query parameters of a win notification's nURL, in order."""
     fmt = FORMATS.get(notification.adx)
     if fmt is None:
         raise ValueError(f"unknown exchange {notification.adx!r}")
@@ -236,8 +246,19 @@ def build_nurl(notification: WinNotification) -> str:
     elif notification.slot_size:
         params.append(("size", notification.slot_size))
 
-    query = urlencode(params, quote_via=quote)
-    return f"{fmt.base_url()}?{query}"
+    return params
+
+
+def build_nurl(notification: WinNotification) -> str:
+    """Render a win notification into its exchange's URL format.
+
+    The query is what ``urlencode(nurl_params(n), quote_via=quote)``
+    renders.
+    """
+    query = "&".join(
+        f"{_quote(key)}={_quote(value)}" for key, value in nurl_params(notification)
+    )
+    return f"{FORMATS[notification.adx].base_url()}?{query}"
 
 
 @dataclass(frozen=True)

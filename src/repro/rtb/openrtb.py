@@ -10,9 +10,11 @@ to answer with bids.  Field names follow the spec (``tmax``, ``imp``,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.rtb.adslots import AdSlotSize
 from repro.rtb.iab import InterestProfile
+from repro.util.timeutil import campaign_daypart, is_weekend
 
 
 @dataclass(frozen=True)
@@ -80,6 +82,28 @@ class BidRequest:
     def context(self) -> str:
         """``'app'`` or ``'web'`` -- the paper's interaction-type feature."""
         return "app" if self.is_app else "web"
+
+    @cached_property
+    def targeting_key(self) -> tuple[str, ...]:
+        """The request's value on each campaign targeting dimension.
+
+        In ``repro.rtb.campaign.TARGETING_DIMENSIONS`` order: city,
+        context, daypart, day type, device type, OS, slot size, ADX,
+        IAB category.  Derived once per request and shared by every DSP
+        the exchange asks.
+        """
+        ts = self.timestamp
+        return (
+            self.geo.city,
+            self.context,
+            campaign_daypart(ts),
+            "weekend" if is_weekend(ts) else "weekday",
+            self.device.device_type,
+            self.device.os,
+            self.imp.slot_size.label,
+            self.adx,
+            self.publisher_iab,
+        )
 
 
 @dataclass(frozen=True)

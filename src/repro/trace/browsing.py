@@ -10,6 +10,8 @@ section 4.3) recovers profiles close to the generative ones.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.rtb.entities import Publisher
@@ -40,19 +42,27 @@ MONTH_WEIGHTS = np.array(
 INTEREST_LOYALTY = 0.7
 
 
-def _day_weights(period: Period) -> np.ndarray:
-    """Unnormalised sampling weight for every day in the period."""
+@functools.lru_cache(maxsize=8)
+def _day_probabilities(period: Period) -> np.ndarray:
+    """Sampling probability of every day in the period (read-only).
+
+    Computed once per period; every user's draw shares it.
+    """
     n_days = int(np.ceil(period.days))
-    days = np.arange(n_days)
     ts0 = period.start
     weights = np.empty(n_days)
-    for d in days:
+    for d in range(n_days):
         ts = ts0 + d * SECONDS_PER_DAY
         moment = np.datetime64(int(ts), "s")
         dow = (int(ts // SECONDS_PER_DAY) + 3) % 7  # 1970-01-01 was a Thursday
         month = int(str(moment.astype("datetime64[M]"))[5:7])
         weights[d] = DOW_WEIGHTS[dow] * MONTH_WEIGHTS[month - 1]
-    return weights
+    probabilities = weights / weights.sum()
+    probabilities.flags.writeable = False
+    return probabilities
+
+
+_HOUR_PROBABILITIES = HOURLY_WEIGHTS / HOURLY_WEIGHTS.sum()
 
 
 def sample_event_times(
@@ -66,12 +76,9 @@ def sample_event_times(
     """
     if n_events <= 0:
         return np.empty(0)
-    day_w = _day_weights(period)
-    day_p = day_w / day_w.sum()
-    days = rng.choice(len(day_w), size=n_events, p=day_p)
-
-    hour_p = HOURLY_WEIGHTS / HOURLY_WEIGHTS.sum()
-    hours = rng.choice(24, size=n_events, p=hour_p)
+    day_p = _day_probabilities(period)
+    days = rng.choice(len(day_p), size=n_events, p=day_p)
+    hours = rng.choice(24, size=n_events, p=_HOUR_PROBABILITIES)
     seconds = rng.uniform(0, 3600, size=n_events)
 
     ts = period.start + days * SECONDS_PER_DAY + hours * 3600 + seconds

@@ -23,6 +23,7 @@ common-value component) while remaining random across auctions.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -138,6 +139,12 @@ def _unit_to_normal(u: float) -> float:
     return -x if y < 0 else x
 
 
+@functools.lru_cache(maxsize=4096)
+def _publisher_z(publisher: str) -> float:
+    """Standard-normal price level of a publisher (stable per domain)."""
+    return _unit_to_normal(_hash_unit(f"pub:{publisher}"))
+
+
 @dataclass(frozen=True)
 class GroundTruthPriceModel:
     """The market's common valuation of impressions.
@@ -158,6 +165,13 @@ class GroundTruthPriceModel:
     drift_per_month: float = MONTHLY_DRIFT
     iab_multipliers: dict[str, float] = field(
         default_factory=lambda: dict(IAB_MULTIPLIERS)
+    )
+    #: ``[(request, value)]`` of the last request valued.  Every DSP an
+    #: exchange asks receives the same request object, so the common
+    #: value is computed once per auction, not once per campaign.
+    _last: list = field(
+        default_factory=lambda: [(None, 0.0)],
+        init=False, repr=False, compare=False,
     )
 
     def deterministic_value(self, request: BidRequest) -> float:
@@ -180,8 +194,7 @@ class GroundTruthPriceModel:
         value *= ADX_MULTIPLIERS.get(request.adx, 0.9)
         value *= 1.0 + self.drift_per_month * months_since_2015(ts)
         if self.sigma_publisher > 0 and request.publisher:
-            z = _unit_to_normal(_hash_unit(f"pub:{request.publisher}"))
-            value *= math.exp(self.sigma_publisher * z)
+            value *= math.exp(self.sigma_publisher * _publisher_z(request.publisher))
         return value
 
     def shock_sigma(self, request: BidRequest) -> float:
@@ -200,10 +213,15 @@ class GroundTruthPriceModel:
         common-value component -- second-price competition then adds the
         bidder-private spread on top.
         """
+        last_request, last_value = self._last[0]
+        if last_request is request:
+            return last_value
         z = _unit_to_normal(_hash_unit(f"shock:{request.auction_id}"))
-        return self.deterministic_value(request) * math.exp(
+        value = self.deterministic_value(request) * math.exp(
             self.shock_sigma(request) * z
         )
+        self._last[0] = (request, value)
+        return value
 
     def __call__(self, request: BidRequest) -> float:
         return self.value_cpm(request)

@@ -24,6 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from repro import obs
 from repro.rtb.bidding import Dsp, FeatureBidEngine
 from repro.rtb.campaign import Campaign, TargetingSpec
 from repro.rtb.cookiesync import CookieSyncRegistry
@@ -438,24 +439,28 @@ def simulate_dataset(config: SimulationConfig | None = None) -> Weblog:
     """Produce a full dataset D under ``config`` (paper scale by default)."""
     config = config or default_config()
     rngs = RngRegistry(config.seed)
-    market = build_market(config, rngs)
-    users = build_population(rngs.get("population"), config.n_users)
+    with obs.span("simulate.market"):
+        market = build_market(config, rngs)
+    with obs.span("simulate.population", users=config.n_users):
+        users = build_population(rngs.get("population"), config.n_users)
     weblog = Weblog(
         period=config.period,
         users=users,
         universe=market.universe,
         policy=market.policy,
     )
-    simulate_period(
-        market,
-        users,
-        config.period,
-        config.target_auctions,
-        rngs,
-        weblog,
-        config=config,
-    )
-    weblog.finalize()
+    with obs.span("simulate.period", auctions=config.target_auctions):
+        simulate_period(
+            market,
+            users,
+            config.period,
+            config.target_auctions,
+            rngs,
+            weblog,
+            config=config,
+        )
+    with obs.span("simulate.finalize"):
+        weblog.finalize()
     return weblog
 
 

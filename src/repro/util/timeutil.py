@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import calendar
 import datetime as dt
+import math
 from dataclasses import dataclass
 
 SECONDS_PER_DAY = 86_400
@@ -53,24 +54,46 @@ def from_epoch(ts: float) -> dt.datetime:
     return dt.datetime.fromtimestamp(ts, tz=dt.timezone.utc)
 
 
+#: Proleptic Gregorian ordinal of 1970-01-01, the epoch's day 0.
+_EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
+
+
+def _second_of(ts: float) -> int:
+    """The whole epoch second :func:`from_epoch` lands on.
+
+    ``fromtimestamp`` rounds the fraction to microseconds, half to even,
+    and a fraction that rounds to a full 10**6 microseconds carries
+    into the next second.  Integer arithmetic on this second then
+    reproduces its calendar fields without building a ``datetime``.
+    """
+    frac, whole = math.modf(ts)
+    micros = round(frac * 1e6)
+    return int(whole) + (micros >= 1_000_000) - (micros < 0)
+
+
+def _date_of(ts: float) -> dt.date:
+    return dt.date.fromordinal(_EPOCH_ORDINAL + _second_of(ts) // SECONDS_PER_DAY)
+
+
 def month_of(ts: float) -> int:
     """Calendar month (1-12) of a timestamp."""
-    return from_epoch(ts).month
+    return _date_of(ts).month
 
 
 def year_of(ts: float) -> int:
     """Calendar year of a timestamp."""
-    return from_epoch(ts).year
+    return _date_of(ts).year
 
 
 def hour_of(ts: float) -> int:
     """Hour of day (0-23) of a timestamp."""
-    return from_epoch(ts).hour
+    return _second_of(ts) % SECONDS_PER_DAY // SECONDS_PER_HOUR
 
 
 def day_of_week(ts: float) -> int:
     """Day of week of a timestamp: Monday=0 ... Sunday=6."""
-    return from_epoch(ts).weekday()
+    # 1970-01-01 was a Thursday.
+    return (_second_of(ts) // SECONDS_PER_DAY + 3) % 7
 
 
 def day_name(ts: float) -> str:
@@ -86,6 +109,21 @@ def is_weekend(ts: float) -> bool:
 def time_of_day_bucket(ts: float) -> str:
     """Four-hour bucket label used in the paper's Figure 6."""
     return TIME_OF_DAY_BUCKETS[hour_of(ts) // 4]
+
+
+#: Table-5 time-of-day campaign windows (coarser than the analyzer's
+#: six four-hour buckets).
+CAMPAIGN_DAYPARTS: tuple[str, ...] = ("12am-9am", "9am-6pm", "6pm-12am")
+
+
+def campaign_daypart(ts: float) -> str:
+    """Map a timestamp into the Table-5 daypart windows."""
+    hour = hour_of(ts)
+    if hour < 9:
+        return "12am-9am"
+    if hour < 18:
+        return "9am-6pm"
+    return "6pm-12am"
 
 
 def days_in_month(year: int, month: int) -> int:

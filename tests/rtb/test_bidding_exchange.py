@@ -13,11 +13,13 @@ from repro.util.rng import stream
 from repro.util.timeutil import epoch
 
 
-def make_request(auction_id="a1", iab="IAB12", adx="MoPub", city="Madrid"):
+def make_request(auction_id="a1", iab="IAB12", adx="MoPub", city="Madrid",
+                 bidfloor=0.0):
     return BidRequest(
         auction_id=auction_id,
         timestamp=epoch(2015, 6, 15, 10),
-        imp=Impression(impression_id=f"{auction_id}-i", slot_size=AdSlotSize(300, 250)),
+        imp=Impression(impression_id=f"{auction_id}-i", slot_size=AdSlotSize(300, 250),
+                       bidfloor_cpm=bidfloor),
         publisher="news.example.es",
         publisher_iab=iab,
         device=Device(os="Android", device_type="smartphone"),
@@ -161,6 +163,20 @@ class TestAdExchange:
         policy = PairEncryptionPolicy.always_cleartext(["MoPub"], ["D1"])
         assert adx.run_auction(make_request(), [dsp], policy) is None
         assert adx.sell_through_rate == 0.0
+
+    @pytest.mark.tier1
+    def test_impression_floor_above_every_bid_leaves_slot_unsold(self):
+        adx, dsps, policy = self._market()
+        assert adx.run_auction(make_request(bidfloor=3.0), dsps, policy) is None
+        assert dsps[0].wins == 0
+        assert adx.auctions_sold == 0
+
+    @pytest.mark.tier1
+    def test_impression_floor_between_bids_sets_charge(self):
+        adx, dsps, policy = self._market()
+        record = adx.run_auction(make_request(bidfloor=1.5), dsps, policy)
+        assert record.outcome.winner.dsp == "D1"
+        assert record.true_charge_price_cpm == 1.5
 
     def test_revenue_accounting(self):
         adx, dsps, policy = self._market()

@@ -1,5 +1,7 @@
 """Tests for nURL building and observer-side parsing."""
 
+from urllib.parse import quote, urlencode
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from repro.rtb.nurl import (
     FORMATS,
     WinNotification,
     build_nurl,
+    nurl_params,
     parse_nurl,
 )
 from repro.rtb.pricecrypto import PriceKeys, encrypt_price
@@ -97,6 +100,29 @@ class TestBuildParse:
     def test_price_roundtrip_precision(self, price):
         parsed = parse_nurl(build_nurl(make_notification(price=price)))
         assert parsed.cleartext_price_cpm == pytest.approx(price, abs=1e-4)
+
+
+#: Free text for the fields a publisher or advertiser names: reserved
+#: and unreserved ASCII, spaces, percent signs and non-ASCII letters.
+FIELD_TEXT = st.text(
+    st.sampled_from("aZ09-._~!*'();:@&=+$,/?#[] %\"<>\\^`{|}") | st.characters(
+        blacklist_categories=("Cs",)
+    ),
+    max_size=24,
+)
+
+
+class TestEncoding:
+    @pytest.mark.parametrize("adx", sorted(FORMATS))
+    @given(publisher=FIELD_TEXT, domain=FIELD_TEXT, campaign=FIELD_TEXT,
+           encrypted=st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_query_is_urlencode_rendering(self, adx, publisher, domain,
+                                          campaign, encrypted):
+        n = make_notification(adx=adx, encrypted=encrypted, publisher=publisher,
+                              ad_domain=domain, campaign_id=campaign)
+        query = urlencode(nurl_params(n), quote_via=quote)
+        assert build_nurl(n) == f"{FORMATS[adx].base_url()}?{query}"
 
 
 class TestParserRobustness:

@@ -1,7 +1,9 @@
 """Tests for the simulation calendar helpers."""
 
+import datetime as dt
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.util.timeutil import (
@@ -10,6 +12,7 @@ from repro.util.timeutil import (
     DATASET_PERIOD,
     TIME_OF_DAY_BUCKETS,
     Period,
+    campaign_daypart,
     day_name,
     day_of_week,
     epoch,
@@ -49,6 +52,41 @@ class TestEpochConversions:
         bucket = time_of_day_bucket(epoch(2015, 3, 10, hour))
         assert bucket in TIME_OF_DAY_BUCKETS
         assert bucket == TIME_OF_DAY_BUCKETS[hour // 4]
+
+
+_START, _END = epoch(2013, 1, 1), epoch(2019, 1, 1)
+
+#: Epoch floats over 2013-2018, and instants at most 1e-6 s below an
+#: hour boundary, where ``fromtimestamp``'s microsecond rounding (half
+#: to even) can carry into the next second -- and so the next hour,
+#: day, month or year.
+CALENDAR_TS = st.floats(min_value=_START, max_value=_END) | st.builds(
+    lambda hour, below: hour * 3600.0 - below,
+    st.integers(int(_START) // 3600 + 1, int(_END) // 3600),
+    st.floats(min_value=0.0, max_value=1e-6),
+)
+
+
+@pytest.mark.tier1
+class TestIntegerCalendar:
+    """The integer-arithmetic helpers agree with ``fromtimestamp``."""
+
+    @given(CALENDAR_TS)
+    @example(epoch(2015, 1, 5) - 4e-7)    # rounds up into Monday 00:00
+    @example(epoch(2016, 1, 1) - 5e-7)    # rounds up into 2016
+    @example(epoch(2015, 1, 5, 9) - 1e-6)  # stays at 08:59:59.999999
+    def test_fields_match_fromtimestamp(self, ts):
+        ref = dt.datetime.fromtimestamp(ts, tz=dt.timezone.utc)
+        assert hour_of(ts) == ref.hour
+        assert day_of_week(ts) == ref.weekday()
+        assert is_weekend(ts) == (ref.weekday() >= 5)
+        assert month_of(ts) == ref.month
+        assert year_of(ts) == ref.year
+        expected_daypart = (
+            "12am-9am" if ref.hour < 9 else "9am-6pm" if ref.hour < 18
+            else "6pm-12am"
+        )
+        assert campaign_daypart(ts) == expected_daypart
 
 
 class TestPeriod:
