@@ -29,6 +29,11 @@ Reports, as one JSON record (``BENCH_forest.json``):
   fused results are asserted bit-identical to the oracle while timing;
 * ``speedup_vs_per_row`` / ``speedup_vs_sequential`` so the acceptance
   bar (fused batch >= 5x per-row recursion) is visible in the record;
+* model install (``install_runs``): ``EncryptedPriceModel.from_package``
+  on the package of a 60-tree, depth-18 price model trained on the same
+  rows -- the node table compiled straight from the payload, asserted
+  byte-identical to compiling rebuilt ``TreeNode`` member trees while
+  timing -- beside that ``TreeNode`` compile itself;
 * ``cpu_count`` and ``git_sha`` provenance, matching
   ``bench_parallel_analyzer``.
 
@@ -62,8 +67,9 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.ml.flat import compile_classifier
 from repro.ml.forest import RandomForestClassifier
-from repro.ml.serialize import dumps, forest_to_dict
+from repro.ml.serialize import dumps, forest_to_dict, loads, tree_from_dict
 from repro.ml.tree import _SplitSearch
 
 try:  # package import under pytest, sibling import as a script
@@ -371,6 +377,64 @@ def inference_runs(
     ]
 
 
+def install_runs(
+    x: np.ndarray,
+    y: np.ndarray,
+    n_estimators: int = N_ESTIMATORS,
+    max_depth: int = MAX_DEPTH,
+    repeats: int = 5,
+) -> list[dict]:
+    """Time a YourAdValue model install of a price model trained on
+    ``x`` (one ordinal feature per column) and price classes ``y``.
+
+    * ``from-package`` -- ``EncryptedPriceModel.from_package``, which
+      compiles the node table straight from the payload dicts.
+    * ``tree-nodes`` -- the path it replaced: rebuild every member tree
+      as ``TreeNode``s (``tree_from_dict``), then compile those.
+
+    Both are best-of-``repeats``; every timed install's table is
+    asserted byte-identical (all six arrays) to the ``TreeNode`` one.
+    """
+    from repro.core.price_model import EncryptedPriceModel
+
+    names = [f"f{i}" for i in range(x.shape[1])]
+    rows = [dict(zip(names, row.tolist())) for row in x]
+    prices = 0.25 * 2.0 ** y * np.linspace(0.9, 1.1, len(y))
+    model = EncryptedPriceModel.train(
+        rows, prices.tolist(), feature_names=names, n_classes=4,
+        n_estimators=n_estimators, max_depth=max_depth, seed=20151231,
+    )
+    package = loads(dumps(model.to_package()))   # what a client downloads
+    forest = package["forest"]
+
+    def tree_nodes():
+        trees = [tree_from_dict(t) for t in forest["trees"]]
+        return compile_classifier(
+            [tree.root_ for tree in trees], forest["n_classes"],
+            [tree.classes_ for tree in trees],
+        )
+
+    nodes_s, reference = _time(tree_nodes, repeats)
+    best = float("inf")
+    for _ in range(max(1, repeats)):
+        start = time.perf_counter()
+        model = EncryptedPriceModel.from_package(package)
+        best = min(best, time.perf_counter() - start)
+        for field in ("feature", "threshold", "left", "right", "value", "roots"):
+            got, want = getattr(model.forest.flat_, field), getattr(reference, field)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (
+                f"installed table diverged from the TreeNode compile ({field})"
+            )
+    nodes = reference.n_nodes
+    return [
+        {"phase": "install", "mode": "tree-nodes", "nodes": nodes,
+         "ms": round(nodes_s * 1e3, 3)},
+        {"phase": "install", "mode": "from-package", "nodes": nodes,
+         "ms": round(best * 1e3, 3),
+         "speedup_vs_tree_nodes": round(nodes_s / best, 2)},
+    ]
+
+
 def run_matrix(
     train_rows: int = 4_000,
     predict_rows: int = 50_000,
@@ -427,6 +491,9 @@ def run_matrix(
     records += inference_runs(
         forest, x_pred, repeats=repeats, per_row_cap=per_row_cap
     )
+    records += install_runs(
+        x_train, y_train, n_estimators, max_depth, repeats=max(5, repeats)
+    )
 
     return {
         "benchmark": "forest",
@@ -449,6 +516,8 @@ def _render(record: dict) -> list[str]:
         f"{'phase':<8} {'config':<22} {'rows/sec':>12} {'speedup':>8}",
     ]
     for run in record["runs"]:
+        if run["phase"] == "install":
+            continue
         config = (
             f"workers={run['workers']}" if run["phase"] == "train"
             else run["mode"]
@@ -464,6 +533,10 @@ def _render(record: dict) -> list[str]:
         "train speedup: vs workers=1 (bit-identical output asserted); "
         "predict speedup: vs per-row recursive descent (fused output "
         "asserted bit-identical to it).",
+    ]
+    lines += [
+        f"install ({run['nodes']} nodes, {run['mode']}): {run['ms']} ms"
+        for run in record["runs"] if run["phase"] == "install"
     ]
     return lines
 
@@ -551,6 +624,21 @@ def test_forest_inference():
         per_row_cap=max(500, int(5_000 * scale)),
     )
     emit("BENCH_forest_inference", [json.dumps(run) for run in runs])
+
+
+def test_model_install():
+    """CI smoke of model install (scaled by ``REPRO_BENCH_SCALE``).
+
+    Checks that the table ``EncryptedPriceModel.from_package`` compiles
+    from the payload is byte-identical to the ``TreeNode`` compile, and
+    records both timings with no wall-clock gate.
+    """
+    from .conftest import bench_scale, emit
+
+    scale = bench_scale()
+    x_train, y_train = _synthetic(max(400, int(4_000 * scale)), seed=20151231)
+    runs = install_runs(x_train, y_train, repeats=5 if scale >= 0.999 else 3)
+    emit("BENCH_forest_install", [json.dumps(run) for run in runs])
 
 
 # -- standalone script -------------------------------------------------------

@@ -13,7 +13,8 @@ the two tier-1 hot paths the spine instruments most densely:
 
 For each path it times the *instrumented* disabled-mode code against a
 "stripped" twin that bypasses the obs entry points entirely (the
-pre-instrumentation shape of the code), and asserts the overhead stays
+pre-instrumentation shape of the code), best of 5 repeats per side with
+the two sides' repeats interleaved, and asserts the overhead stays
 under the 3% budget.  One JSON record (with the shared
 ``_record.provenance()`` fields) lands in
 ``benchmarks/output/bench_obs_overhead.json`` so the trajectory is
@@ -50,17 +51,26 @@ from repro.ml.forest import RandomForestClassifier
 #: The budget the obs spine must honour in disabled mode.
 OVERHEAD_BUDGET = 0.03
 
-#: Repeats for best-of timing (resists noisy-neighbour skew).
+#: Interleaved repeats per side for best-of timing (resists
+#: noisy-neighbour skew).
 REPEATS = 5
 
 
-def _best_of(fn, repeats: int = REPEATS) -> float:
-    best = float("inf")
-    for _ in range(max(1, repeats)):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+def _best_of_pair(instrumented, stripped, repeats: int = REPEATS) -> tuple[float, float]:
+    """Best-of-``repeats`` wall time of each side, repeats interleaved.
+
+    Round ``i`` runs both sides, alternating which goes first, so
+    machine drift over the measurement (a noisy neighbour, a clock
+    change) lands on both sides rather than on whichever ran last.
+    """
+    fns = (instrumented, stripped)
+    best = [float("inf"), float("inf")]
+    for i in range(max(1, repeats)):
+        for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+            start = time.perf_counter()
+            fns[side]()
+            best[side] = min(best[side], time.perf_counter() - start)
+    return best[0], best[1]
 
 
 def _overhead(instrumented_s: float, stripped_s: float) -> float:
@@ -88,8 +98,11 @@ def measure_analyzer(dataset, directory, repeats: int = REPEATS) -> dict:
     rows = list(dataset.rows)
     analyzer = WeblogAnalyzer(directory)
     assert obs.active_trace() is None and not obs.profiling_enabled()
-    instrumented = _best_of(lambda: analyzer.analyze(rows), repeats)
-    stripped = _best_of(lambda: _analyzer_stripped(analyzer, rows), repeats)
+    instrumented, stripped = _best_of_pair(
+        lambda: analyzer.analyze(rows),
+        lambda: _analyzer_stripped(analyzer, rows),
+        repeats,
+    )
     return {
         "path": "analyzer.analyze",
         "rows": len(rows),
@@ -115,8 +128,11 @@ def measure_forest(repeats: int = REPEATS) -> dict:
     ).fit(x, y)
     x_pred = np.atleast_2d(np.asarray(rng.normal(size=(2000, 8)), dtype=float))
     assert obs.active_trace() is None and not obs.profiling_enabled()
-    instrumented = _best_of(lambda: forest.predict_proba(x_pred), repeats)
-    stripped = _best_of(lambda: _forest_stripped(forest, x_pred), repeats)
+    instrumented, stripped = _best_of_pair(
+        lambda: forest.predict_proba(x_pred),
+        lambda: _forest_stripped(forest, x_pred),
+        repeats,
+    )
     assert np.array_equal(
         forest.predict_proba(x_pred), _forest_stripped(forest, x_pred)
     )
@@ -145,8 +161,7 @@ def measure_span_call(n: int = 200_000) -> dict:
         for _ in range(n):
             pass
 
-    disabled_s = _best_of(disabled, 3)
-    baseline_s = _best_of(baseline, 3)
+    disabled_s, baseline_s = _best_of_pair(disabled, baseline, 3)
     return {
         "path": "span.disabled_call",
         "calls": n,

@@ -186,13 +186,15 @@ class Estimator:
         Same shape the deprecated ``EncryptedPriceModel.explain_one``
         returned: predicted class, representative CPM (time-corrected),
         class probabilities, top feature importances, and the decision
-        path of the first member tree.
+        path of the first member tree (read from the fused node table,
+        so an installed model builds no member trees to explain).
         """
         model = self.model
         with obs.stage("estimator.explain"):
             x = model.encoder.transform([row])
             probs = model.forest.predict_proba(x)[0]
             cls = int(np.argmax(probs))
+            steps = model.forest.flat_.decision_path(x[0])
             path = [
                 {
                     "feature": model.feature_names[feature],
@@ -200,9 +202,7 @@ class Estimator:
                     "went_left": went_left,
                     "value": row.get(model.feature_names[feature]),
                 }
-                for feature, threshold, went_left in model.forest.trees_[
-                    0
-                ].decision_path(x[0])
+                for feature, threshold, went_left in steps
             ]
             importances = model.forest.feature_importances_
             top = []

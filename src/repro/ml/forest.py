@@ -27,17 +27,19 @@ Scale design notes
   results are merged strictly in tree order, so a parallel fit is
   **bit-identical** to the sequential one: same trees, same
   ``predict_proba``, same OOB votes, same importances.
-* **Fused inference.**  After fit and on deserialisation the whole
-  forest compiles into one :class:`repro.ml.flat.NodeTable` (every
-  tree's nodes back to back, leaf rows already in the forest's class
-  space); ``predict_proba``/``predict``/``apply`` are one
-  level-synchronous walk over all (row, tree) lanes, averaged in tree
-  order -- bit-identical to summing the member trees one by one.
+* **Fused inference.**  After fit the whole forest compiles into one
+  :class:`repro.ml.flat.NodeTable` (every tree's nodes back to back,
+  leaf rows already in the forest's class space); ``predict_proba``/
+  ``predict``/``apply`` are one level-synchronous walk over all
+  (row, tree) lanes, averaged in tree order -- bit-identical to
+  summing the member trees one by one.  A deserialised forest compiles
+  the same table straight from its payload and builds ``trees_`` only
+  on first access.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -223,7 +225,11 @@ class RandomForestClassifier:
         self.seed = int(seed)
         self.workers = workers
         self.splitter = _check_splitter(splitter)
-        self.trees_: list[DecisionTreeClassifier] = []
+        self._trees: list[DecisionTreeClassifier] = []
+        #: Builds the member trees on first access to ``trees_``; set by
+        #: :func:`repro.ml.serialize.forest_from_dict`, whose table is
+        #: compiled without them.
+        self._load_trees: Callable[[], list[DecisionTreeClassifier]] | None = None
         self.n_classes_: int = 0
         self.n_features_: int = 0
         self.feature_importances_: np.ndarray | None = None
@@ -308,33 +314,49 @@ class RandomForestClassifier:
         self.compile_flat()
         return self
 
-    def _check_fitted(self) -> None:
-        if not self.trees_:
+    @property
+    def trees_(self) -> list[DecisionTreeClassifier]:
+        """The member trees.  Inference reads only ``flat_``; an
+        installed forest builds these on first access."""
+        if self._load_trees is not None:
+            self._trees, self._load_trees = self._load_trees(), None
+        return self._trees
+
+    @trees_.setter
+    def trees_(self, trees: list[DecisionTreeClassifier]) -> None:
+        self._trees, self._load_trees = trees, None
+
+    def _check_fitted(self) -> NodeTable:
+        if self.flat_ is None:
             raise RuntimeError("forest is not fitted")
+        return self.flat_
 
     def compile_flat(self) -> NodeTable:
         """(Re)compile the fused node table from the member trees.
 
-        Runs at the end of ``fit`` and in the deserialiser; call it
-        again after replacing or editing ``trees_``.  Each tree's leaf
-        rows are scattered into the forest's class space by the tree's
-        ``classes_`` labels, so narrow or gappy trees (version-1
-        payloads, externally fitted trees) align by label here, once.
+        Runs at the end of ``fit``; call it again after replacing or
+        editing ``trees_``.  Each tree's leaf rows are scattered into
+        the forest's class space by the tree's ``classes_`` labels, so
+        narrow or gappy trees (version-1 payloads, externally fitted
+        trees) align by label here, once.
         """
-        self._check_fitted()
+        trees = self.trees_
+        if not trees:
+            raise RuntimeError("forest is not fitted")
         self.flat_ = compile_classifier(
-            [tree._check_fitted() for tree in self.trees_],
+            [tree._check_fitted() for tree in trees],
             self.n_classes_,
-            [tree.classes_ for tree in self.trees_],
+            [tree.classes_ for tree in trees],
+            n_features=self.n_features_,
         )
         return self.flat_
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """Average of member-tree leaf class frequencies."""
-        self._check_fitted()
+        table = self._check_fitted()
         x = np.atleast_2d(np.asarray(x, dtype=float))
         with obs.span("forest.predict_proba", rows=x.shape[0]):
-            return self.flat_.predict_value(x)
+            return table.predict_value(x)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Majority (probability-averaged) class per row."""
@@ -346,8 +368,8 @@ class RandomForestClassifier:
         Ids are local to each tree (node ``flat_.roots[t] + id`` of the
         fused table).
         """
-        self._check_fitted()
-        return self.flat_.apply(x) - self.flat_.roots
+        table = self._check_fitted()
+        return table.apply(x) - table.roots
 
     @property
     def oob_error_(self) -> float | None:

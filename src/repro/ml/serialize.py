@@ -10,10 +10,12 @@ model.
 from __future__ import annotations
 
 import json
+from functools import partial
 from typing import Any
 
 import numpy as np
 
+from repro.ml.flat import compile_classifier
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.tree import DecisionTreeClassifier, TreeNode
 
@@ -75,22 +77,50 @@ def _node_to_dict(node: TreeNode) -> dict[str, Any]:
 
 
 def _node_from_dict(payload: dict[str, Any]) -> TreeNode:
-    if payload["leaf"]:
-        value = payload["value"]
-        if isinstance(value, list):
-            value = np.asarray(value, dtype=float)
-        return TreeNode(
-            value=value, n_samples=int(payload["n"]), impurity=float(payload["impurity"])
-        )
-    return TreeNode(
-        value=np.zeros(0),
-        n_samples=int(payload["n"]),
-        impurity=float(payload["impurity"]),
-        feature=int(payload["feature"]),
-        threshold=float(payload["threshold"]),
-        left=_node_from_dict(payload["left"]),
-        right=_node_from_dict(payload["right"]),
-    )
+    """Rebuild a :class:`TreeNode` graph; iterative, so any depth loads."""
+    root: TreeNode | None = None
+    # (node dict, parent TreeNode, the parent slot it fills)
+    stack: list[tuple] = [(payload, None, "")]
+    while stack:
+        node_dict, parent, side = stack.pop()
+        n_samples, impurity = int(node_dict["n"]), float(node_dict["impurity"])
+        if node_dict["leaf"]:
+            value = node_dict["value"]
+            if isinstance(value, list):
+                value = np.asarray(value, dtype=float)
+            node = TreeNode(value=value, n_samples=n_samples, impurity=impurity)
+        else:
+            node = TreeNode(
+                value=np.zeros(0),
+                n_samples=n_samples,
+                impurity=impurity,
+                feature=int(node_dict["feature"]),
+                threshold=float(node_dict["threshold"]),
+            )
+            stack.append((node_dict["right"], node, "right"))
+            stack.append((node_dict["left"], node, "left"))
+        if parent is None:
+            root = node
+        else:
+            setattr(parent, side, node)
+    assert root is not None
+    return root
+
+
+def _node_record(node: dict[str, Any]) -> tuple:
+    """A serialised node as the table compile walk reads it (the
+    payload counterpart of :data:`repro.ml.flat.node_record`)."""
+    if node["leaf"]:
+        return None, None, None, None, node["value"]
+    return node["feature"], node["threshold"], node["left"], node["right"], None
+
+
+def _check_tree(payload: dict[str, Any]) -> int:
+    """Check a serialised tree's header; returns its class count."""
+    if payload.get("kind") != "decision_tree_classifier":
+        raise ValueError(f"not a serialised tree: kind={payload.get('kind')!r}")
+    _check_format(payload)
+    return int(payload["n_classes"])
 
 
 def tree_to_dict(tree: DecisionTreeClassifier) -> dict[str, Any]:
@@ -108,17 +138,17 @@ def tree_to_dict(tree: DecisionTreeClassifier) -> dict[str, Any]:
 
 
 def tree_from_dict(payload: dict[str, Any]) -> DecisionTreeClassifier:
-    """Rebuild a classifier tree from :func:`tree_to_dict` output.
+    """Rebuild a classifier tree, ``TreeNode`` graph and all, from
+    :func:`tree_to_dict` output.
 
     The node table is derived state and never serialised: a lone tree
-    compiles it on first prediction, forest members never (the forest
-    compiles one table for all of them on load).
+    compiles it on first prediction.  Forest installs do not come
+    here -- :func:`forest_from_dict` compiles the forest's table from
+    the payload directly and rebuilds member trees only when asked for.
     """
-    if payload.get("kind") != "decision_tree_classifier":
-        raise ValueError(f"not a serialised tree: kind={payload.get('kind')!r}")
-    _check_format(payload)
+    n_classes = _check_tree(payload)
     tree = DecisionTreeClassifier(criterion=payload.get("criterion", "gini"))
-    tree.n_classes_ = int(payload["n_classes"])
+    tree.n_classes_ = n_classes
     tree.n_features_ = int(payload["n_features"])
     tree.classes_ = np.arange(tree.n_classes_)
     tree.root_ = _node_from_dict(payload["root"])
@@ -146,18 +176,35 @@ def forest_to_dict(forest: RandomForestClassifier) -> dict[str, Any]:
     }
 
 
+def _trees_from_dicts(payloads: list[dict[str, Any]]) -> list[DecisionTreeClassifier]:
+    return [tree_from_dict(tree) for tree in payloads]
+
+
 def forest_from_dict(payload: dict[str, Any]) -> RandomForestClassifier:
     """Rebuild a forest from :func:`forest_to_dict` output.
 
     Version-2 payloads restore the constructor hyperparameters and the
     fitted state (``feature_importances_``, ``oob_score_``); version-1
     payloads (which carried neither) load with default hyperparameters,
-    matching their historical behaviour.  The member trees compile into
-    one fused node table on load.
+    matching their historical behaviour.
+
+    The fused node table compiles straight from the node dicts, so
+    installing a package builds no ``TreeNode``: the table is all that
+    inference and :meth:`repro.core.estimator.Estimator.explain` read.
+    Member trees are rebuilt from ``payload`` (which must not be
+    mutated afterwards) on first access to ``trees_``, e.g. by
+    :func:`forest_to_dict`; a refit replaces them unbuilt.  A corrupt
+    payload raises ``ValueError`` naming the offending tree: a split on
+    a feature outside ``[0, n_features)``, a missing or mistyped node
+    key, a leaf row wider than the class space, negative or non-finite
+    counts.
     """
     if payload.get("kind") != "random_forest_classifier":
         raise ValueError(f"not a serialised forest: kind={payload.get('kind')!r}")
     version = _check_format(payload)
+    trees = payload["trees"]
+    if not trees:
+        raise ValueError("serialised forest has no trees")
     if version >= 2:
         params = dict(payload["params"])
         unknown = set(params) - set(_FOREST_PARAM_KEYS)
@@ -165,11 +212,21 @@ def forest_from_dict(payload: dict[str, Any]) -> RandomForestClassifier:
             raise ValueError(f"unknown forest params in payload: {sorted(unknown)}")
         forest = RandomForestClassifier(**params)
     else:
-        forest = RandomForestClassifier(n_estimators=max(1, len(payload["trees"])))
+        forest = RandomForestClassifier(n_estimators=len(trees))
     forest.n_classes_ = int(payload["n_classes"])
     forest.n_features_ = int(payload["n_features"])
-    forest.trees_ = [tree_from_dict(t) for t in payload["trees"]]
-    forest.compile_flat()
+    roots, labels = [], []
+    for t, tree in enumerate(trees):
+        try:
+            labels.append(np.arange(_check_tree(tree)))
+            roots.append(tree["root"])
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"tree {t}: {exc!r}") from exc
+    forest.flat_ = compile_classifier(
+        roots, forest.n_classes_, labels,
+        n_features=forest.n_features_, record=_node_record,
+    )
+    forest._load_trees = partial(_trees_from_dicts, trees)
     importances = payload.get("feature_importances")
     if importances is not None:
         forest.feature_importances_ = np.asarray(importances, dtype=float)

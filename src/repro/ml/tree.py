@@ -645,7 +645,9 @@ class DecisionTreeClassifier:
         from repro.ml.flat import compile_classifier
 
         root = self._check_fitted()
-        self.flat_ = compile_classifier([root], self.n_classes_, [self.classes_])
+        self.flat_ = compile_classifier(
+            [root], self.n_classes_, [self.classes_], n_features=self.n_features_
+        )
         return self.flat_
 
     def _table(self):
@@ -765,20 +767,9 @@ class DecisionTreeClassifier:
         return self._check_fitted().n_leaves()
 
     def decision_path(self, row: np.ndarray) -> list[tuple[int, float, bool]]:
-        """The (feature, threshold, went_left) sequence for one sample.
-
-        YourAdValue surfaces this to explain a price estimate to the user.
-        """
-        node = self._check_fitted()
-        path: list[tuple[int, float, bool]] = []
-        row = np.asarray(row, dtype=float)
-        while not node.is_leaf:
-            assert node.feature is not None and node.threshold is not None
-            left = bool(row[node.feature] <= node.threshold)
-            path.append((node.feature, node.threshold, left))
-            node = node.left if left else node.right
-            assert node is not None
-        return path
+        """The (feature, threshold, went_left) sequence for one sample
+        (:meth:`repro.ml.flat.NodeTable.decision_path`)."""
+        return self._table().decision_path(row)
 
 
 class DecisionTreeRegressor:

@@ -61,3 +61,47 @@ class TestExplanations:
         explanation = m.explain(row)
         for step in explanation["decision_path"]:
             assert step["value"] == row.get(step["feature"])
+
+
+def _tree_node_path(tree, x):
+    """Decision path read off the fitted ``TreeNode`` graph."""
+    node, path = tree.root_, []
+    while node.feature is not None:
+        went_left = bool(x[node.feature] <= node.threshold)
+        path.append((node.feature, node.threshold, went_left))
+        node = node.left if went_left else node.right
+    return path
+
+
+@pytest.mark.tier1
+class TestInstalledModelExplains:
+    """An installed package explains from its node table exactly as the
+    fitted model does, without rebuilding member trees."""
+
+    ROWS = [
+        {"context": "app", "slot_size": "300x250", "noise": 3},
+        {"context": "web", "slot_size": "320x50", "noise": 0},
+        {"context": "tv", "slot_size": "1x1", "noise": 99},      # unseen values
+        {"context": "app"},                                       # missing fields
+        {},
+    ]
+
+    def test_loaded_explain_equals_fitted_explain(self, model):
+        fitted, _ = model
+        loaded = Estimator.from_package(fitted.to_package())
+        for row in self.ROWS:
+            assert loaded.explain(row) == fitted.explain(row), row
+        assert loaded.model.forest._load_trees is not None, (
+            "explain built the member trees"
+        )
+
+    def test_path_equals_tree_node_walk(self, model):
+        fitted, _ = model
+        tree = fitted.model.forest.trees_[0]
+        for row in self.ROWS:
+            x = fitted.model.encoder.transform([row])[0]
+            steps = fitted.explain(row)["decision_path"]
+            assert [
+                (fitted.feature_names.index(s["feature"]), s["threshold"], s["went_left"])
+                for s in steps
+            ] == _tree_node_path(tree, x)

@@ -1,5 +1,7 @@
 """Tests for the YourAdValue client and the contribution channel."""
 
+import copy
+
 import pytest
 
 from repro.analyzer.interests import PublisherDirectory
@@ -7,6 +9,7 @@ from repro.core.contributions import ContributionError, ContributionServer
 from repro.core.youradvalue import YourAdValue
 from repro.core.campaigns import run_campaign_a1
 from repro.core.price_model import EncryptedPriceModel
+from repro.ml.tree import TreeNode
 from repro.trace.simulate import build_market, simulate_dataset, small_config
 from repro.util.rng import RngRegistry
 
@@ -136,6 +139,40 @@ class TestYourAdValue:
         assert client.check_for_update(newer)
         assert client.model_version == 2
         assert client.estimator.model is client.model
+
+    @pytest.mark.tier1
+    def test_corrupt_update_raises_and_keeps_old_model(self, environment, client):
+        dataset, package, _ = environment
+        corrupt = copy.deepcopy(package) | {"version": 2}
+        forest = corrupt["forest"]
+        root = forest["trees"][3]["root"]
+        assert not root["leaf"]
+        root["feature"] = forest["n_features"]
+        model, estimator = client.model, client.estimator
+        with pytest.raises(ValueError, match="tree 3"):
+            client.check_for_update(corrupt)
+        assert client.model is model and client.estimator is estimator
+        assert client.model_version == 1
+        user = busiest_user(dataset)
+        assert client.observe_many(rows_for_user(dataset, user)) > 0
+
+    @pytest.mark.tier1
+    def test_install_builds_no_tree_nodes(self, environment, monkeypatch):
+        dataset, package, directory = environment
+        built = []
+        original = TreeNode.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(TreeNode, "__init__", counting_init)
+        client = YourAdValue(package, directory)
+        client.observe_many(rows_for_user(dataset, busiest_user(dataset)))
+        assert built == []
+        # The counter does count: rebuilding the member trees trips it.
+        assert client.model.forest.trees_
+        assert len(built) > 0
 
     def test_contribution_records_are_anonymous(self, environment, client):
         dataset, _, _ = environment
